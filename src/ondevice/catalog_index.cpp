@@ -14,16 +14,11 @@ namespace memcom {
 
 namespace {
 
-// Section prefix constants — the v4 analogue of the plan section's.
-constexpr std::uint32_t kIndexMagic = 0x58444943;  // "CIDX" little-endian
-constexpr std::uint32_t kIndexFormatVersion = 1;
-constexpr std::uint32_t kIndexEndianCheck = 0x01020304;
 // Centroids were built from scalar-dequantized rows, so one serialized
-// index serves every kernel dispatch family.
-constexpr std::uint32_t kIndexFlagScalarBuilt = 1u << 0;
-constexpr std::size_t kIndexAlignment = 64;
-// Smallest decodable section: 16-byte prefix + trailing checksum.
-constexpr std::size_t kIndexMinBytes = 4 * sizeof(std::uint32_t) + 8;
+// index serves every kernel dispatch family (flag bit 0).
+constexpr SectionEnvelope kIndexEnvelope = {
+    "catalog index", 0x58444943 /* "CIDX" little-endian */, 1, 1u << 0,
+    "catalog index not built from scalar dequantization"};
 // Structural header fields all live well under this; regions may lie
 // beyond (they are addressed by offset, not parsed from the stream).
 constexpr std::size_t kIndexHeaderCap = std::size_t{1} << 16;
@@ -31,10 +26,6 @@ constexpr std::size_t kIndexHeaderCap = std::size_t{1} << 16;
 // (the final assignment pass still covers every item) so build time stays
 // bounded at bench scale.
 constexpr Index kTrainRowsPerCluster = 32;
-
-std::size_t align_up(std::size_t value, std::size_t alignment) {
-  return (value + alignment - 1) / alignment * alignment;
-}
 
 void write_u32_array(std::ostream& os, const std::uint32_t* data,
                      std::size_t count) {
@@ -44,31 +35,10 @@ void write_u32_array(std::ostream& os, const std::uint32_t* data,
 }
 
 const TensorEntry* find_entry(const MmapModel& model, const std::string& name) {
-  for (std::size_t i = 0; i < model.entry_count(); ++i) {
-    const TensorEntry& e = model.entry_at(i);
-    if (e.name == name) {
-      return &e;
-    }
-  }
-  return nullptr;
+  return model.has_tensor(name) ? &model.entry(name) : nullptr;
 }
 
 }  // namespace
-
-IdBuffer IdBuffer::owned(std::vector<std::uint32_t> values) {
-  IdBuffer b;
-  b.storage_ = std::move(values);
-  b.data_ = b.storage_.data();
-  b.size_ = b.storage_.size();
-  return b;
-}
-
-IdBuffer IdBuffer::view(const std::uint32_t* data, std::size_t count) {
-  IdBuffer b;
-  b.data_ = data;
-  b.size_ = count;
-  return b;
-}
 
 Index default_catalog_clusters(Index items) {
   check(items > 0, "default_catalog_clusters: empty catalog");
@@ -85,22 +55,6 @@ std::vector<float> dequantize_catalog_rows(const SpanSrc& src, Index items,
   // Elementwise, so one whole-range call equals per-row calls bit-for-bit.
   scalar_kernels().dequant_span(src, 0, items * dim, rows.data());
   return rows;
-}
-
-std::vector<ScoredId> CatalogIndex::probe(const KernelSet& kernels,
-                                          const float* query,
-                                          Index nprobe) const {
-  const Index kept = std::min(std::max<Index>(nprobe, 0), clusters);
-  std::vector<ScoredId> heap;
-  heap.reserve(static_cast<std::size_t>(kept));
-  if (kept == 0) {
-    return heap;
-  }
-  for (Index c = 0; c < clusters; ++c) {
-    topk_offer(heap, kept, ScoredId{kernels.dot(query, centroid(c), dim), c});
-  }
-  std::sort(heap.begin(), heap.end(), topk_better);
-  return heap;
 }
 
 CatalogIndex build_catalog_index(const float* rows, Index items, Index dim,
@@ -253,16 +207,17 @@ CatalogIndex build_catalog_index_for_model(const MmapModel& model,
   const TensorEntry* bias = find_entry(model, "out.bias");
   check(weight != nullptr && bias != nullptr,
         "build_catalog_index_for_model: model has no output catalog");
+  check_output_layout(model);
   check(weight->shape.size() == 2 && bias->shape.size() == 1 &&
-            bias->shape[0] == weight->shape[1],
+            bias->shape[0] == weight->shape[0],
         "build_catalog_index_for_model: malformed output catalog");
-  const Index in = weight->shape[0];
-  const Index items = weight->shape[1];
+  const Index items = weight->shape[0];
+  const Index in = weight->shape[1];
 
-  // out.weight is [in, items] — each COLUMN is an item. Scalar-dequantize
-  // the whole table once, then gather rows [W[:, j]; bias_j].
+  // out.weight is item-major [items, in]: scalar-dequantize the whole table
+  // once, then append each row's bias lane — row j = [W[j, :]; bias_j].
   const std::vector<float> dense = dequantize_catalog_rows(
-      make_span_src(*weight, model.payload(*weight)), in, items);
+      make_span_src(*weight, model.payload(*weight)), items, in);
   std::vector<float> bias_f(static_cast<std::size_t>(items));
   scalar_kernels().dequant_span(make_span_src(*bias, model.payload(*bias)), 0,
                                 items, bias_f.data());
@@ -272,9 +227,8 @@ CatalogIndex build_catalog_index_for_model(const MmapModel& model,
                           static_cast<std::size_t>(dim));
   for (Index j = 0; j < items; ++j) {
     float* r = rows.data() + j * dim;
-    for (Index k = 0; k < in; ++k) {
-      r[k] = dense[static_cast<std::size_t>(k) * items + j];
-    }
+    std::memcpy(r, dense.data() + j * in,
+                static_cast<std::size_t>(in) * sizeof(float));
     r[in] = bias_f[static_cast<std::size_t>(j)];
   }
 
@@ -300,25 +254,49 @@ std::uint64_t span_scan_bytes(const SpanSrc& src, Index offset, Index count) {
   return static_cast<std::uint64_t>(span.length);
 }
 
+namespace {
+
+// Stored bytes per row of an item-major [items, dim] catalog when every row
+// spans whole bytes (and i4g whole groups); 0 when rows differ.
+std::uint64_t uniform_row_scan_bytes(const SpanSrc& src, Index dim) {
+  const bool whole_bytes = dim * dtype_bits(src.dtype) % 8 == 0;
+  const bool whole_groups =
+      src.dtype != DType::kI4G || dim % src.group_size == 0;
+  return whole_bytes && whole_groups ? span_scan_bytes(src, 0, dim) : 0;
+}
+
+}  // namespace
+
 PrunedCatalogScorer::PrunedCatalogScorer(const CatalogScorer& exact,
                                          const CatalogIndex& index)
-    : exact_(&exact), index_(&index) {
-  check(exact.items() == index.items && exact.dim() == index.dim,
+    : exact_(&exact),
+      index_(&index),
+      row_bytes_(uniform_row_scan_bytes(exact.src(), exact.dim())) {
+  check(exact.items() == index.items && exact.query_dim() == index.dim,
         "PrunedCatalogScorer: index does not match catalog");
 }
 
-std::vector<ScoredId> PrunedCatalogScorer::top_k(const float* query, Index k,
-                                                 Index nprobe,
-                                                 ScanStats* stats) const {
+std::vector<ScoredId> PrunedCatalogScorer::probe(const float* query,
+                                                 Index nprobe) const {
+  const Index kept = std::min(std::max<Index>(nprobe, 1), index_->clusters);
+  std::vector<ScoredId> heap;
+  heap.reserve(static_cast<std::size_t>(kept));
+  for (Index c = 0; c < index_->clusters; ++c) {
+    topk_offer(heap, kept,
+               ScoredId{exact_->kernels().dot(query, index_->centroid(c),
+                                              index_->dim),
+                        c});
+  }
+  std::sort(heap.begin(), heap.end(), topk_better);
+  return heap;
+}
+
+std::vector<ScoredId> PrunedCatalogScorer::score_probed(
+    const float* query, Index k, const std::vector<ScoredId>& probed,
+    ScanStats* stats) const {
   check(k >= 0, "PrunedCatalogScorer::top_k: negative k");
-  const Index clusters = index_->clusters;
-  const Index probes = std::min(std::max<Index>(nprobe, 1), clusters);
-  const KernelSet& ker = exact_->kernels();
   const SpanSrc& src = exact_->src();
   const Index dim = exact_->dim();
-
-  const std::vector<ScoredId> probed = index_->probe(ker, query, probes);
-
   const Index kept = std::min(k, exact_->items());
   std::vector<ScoredId> heap;
   heap.reserve(static_cast<std::size_t>(kept));
@@ -328,19 +306,23 @@ std::vector<ScoredId> PrunedCatalogScorer::top_k(const float* query, Index k,
     const std::size_t begin = index_->offsets[static_cast<std::size_t>(cluster.id)];
     const std::size_t end =
         index_->offsets[static_cast<std::size_t>(cluster.id) + 1];
-    for (std::size_t pos = begin; pos < end; ++pos) {
+    for (std::size_t pos = begin; pos < end && kept > 0; ++pos) {
       const Index id = static_cast<Index>(index_->perm[pos]);
-      if (kept > 0) {
-        topk_offer(heap, kept,
-                   ScoredId{ker.dot_span(src, id * dim, dim, query), id});
+      topk_offer(heap, kept, ScoredId{exact_->score(id, query), id});
+    }
+    if (row_bytes_ > 0) {
+      scanned_bytes += static_cast<std::uint64_t>(end - begin) * row_bytes_;
+    } else {
+      for (std::size_t pos = begin; pos < end; ++pos) {
+        scanned_bytes += span_scan_bytes(
+            src, static_cast<Index>(index_->perm[pos]) * dim, dim);
       }
-      scanned_bytes += span_scan_bytes(src, id * dim, dim);
     }
     scanned_rows += static_cast<Index>(end - begin);
   }
   std::sort(heap.begin(), heap.end(), topk_better);
   if (stats != nullptr) {
-    stats->probed_clusters = probes;
+    stats->probed_clusters = static_cast<Index>(probed.size());
     stats->scanned_rows = scanned_rows;
     stats->scanned_bytes = scanned_bytes;
   }
@@ -361,10 +343,7 @@ std::vector<std::uint8_t> serialize_catalog_index(const CatalogIndex& index) {
 
   auto emit_header = [&](std::ostream& os, std::uint64_t cent_off,
                          std::uint64_t perm_off, std::uint64_t offs_off) {
-    write_u32(os, kIndexMagic);
-    write_u32(os, kIndexFormatVersion);
-    write_u32(os, kIndexEndianCheck);
-    write_u32(os, kIndexFlagScalarBuilt);
+    write_section_prefix(os, kIndexEnvelope);
     write_string(os, index.model_name);
     write_u64(os, index.model_version);
     write_i64(os, index.items);
@@ -386,39 +365,21 @@ std::vector<std::uint8_t> serialize_catalog_index(const CatalogIndex& index) {
   emit_header(probe, 0, 0, 0);
   const std::size_t header_size = probe.str().size();
 
-  std::size_t cursor = align_up(header_size, kIndexAlignment);
-  const std::uint64_t cent_off = cursor;
-  cursor = align_up(cursor + cent_count * sizeof(float), kIndexAlignment);
-  const std::uint64_t perm_off = cursor;
-  cursor = align_up(cursor + perm_count * sizeof(std::uint32_t),
-                    kIndexAlignment);
-  const std::uint64_t offs_off = cursor;
-  cursor += offs_count * sizeof(std::uint32_t);
+  const std::uint64_t cent_off = align_up(header_size, kSectionAlignment);
+  const std::uint64_t perm_off =
+      align_up(cent_off + cent_count * sizeof(float), kSectionAlignment);
+  const std::uint64_t offs_off = align_up(
+      perm_off + perm_count * sizeof(std::uint32_t), kSectionAlignment);
 
   std::ostringstream body;
   emit_header(body, cent_off, perm_off, offs_off);
-  auto pad_to = [&](std::uint64_t target) {
-    std::string s = body.str();
-    check(s.size() <= target, "serialize_catalog_index: layout overflow");
-    body.write(std::string(static_cast<std::size_t>(target) - s.size(), '\0')
-                   .data(),
-               static_cast<std::streamsize>(target - s.size()));
-  };
-  pad_to(cent_off);
+  pad_section_to(body, cent_off);
   write_f32_array(body, index.centroids.data(), cent_count);
-  pad_to(perm_off);
+  pad_section_to(body, perm_off);
   write_u32_array(body, index.perm.data(), perm_count);
-  pad_to(offs_off);
+  pad_section_to(body, offs_off);
   write_u32_array(body, index.offsets.data(), offs_count);
-
-  const std::string payload = body.str();
-  std::vector<std::uint8_t> bytes(payload.begin(), payload.end());
-  const std::uint64_t checksum = plan_checksum(bytes.data(), bytes.size());
-  std::ostringstream tail;
-  write_u64(tail, checksum);
-  const std::string tail_s = tail.str();
-  bytes.insert(bytes.end(), tail_s.begin(), tail_s.end());
-  return bytes;
+  return seal_section(body.str());
 }
 
 CatalogIndexDecodeResult decode_catalog_index(const MmapModel& model) {
@@ -437,29 +398,9 @@ CatalogIndexDecodeResult decode_catalog_index(const MmapModel& model) {
     return stale(model.index_bounds_error());
   }
   const std::size_t size = static_cast<std::size_t>(model.index_size());
-  if (size < kIndexMinBytes) {
-    return stale("catalog index section truncated (" + std::to_string(size) +
-                 " bytes)");
-  }
-  std::uint32_t prefix[4];
-  std::memcpy(prefix, data, sizeof(prefix));
-  if (prefix[0] != kIndexMagic) {
-    return stale("bad catalog index magic");
-  }
-  if (prefix[1] != kIndexFormatVersion) {
-    return stale("unsupported catalog index format version " +
-                 std::to_string(prefix[1]));
-  }
-  if (prefix[2] != kIndexEndianCheck) {
-    return stale("catalog index endianness mismatch");
-  }
-  if ((prefix[3] & kIndexFlagScalarBuilt) == 0) {
-    return stale("catalog index not built from scalar dequantization");
-  }
-  std::uint64_t declared = 0;
-  std::memcpy(&declared, data + size - 8, sizeof(declared));
-  if (plan_checksum(data, size - 8) != declared) {
-    return stale("catalog index checksum mismatch");
+  if (std::string reason = check_section_envelope(data, size, kIndexEnvelope);
+      !reason.empty()) {
+    return stale(std::move(reason));
   }
   const std::size_t payload_limit = size - 8;
 
@@ -506,8 +447,8 @@ CatalogIndexDecodeResult decode_catalog_index(const MmapModel& model) {
     if (weight == nullptr || bias == nullptr || weight->shape.size() != 2) {
       return stale("catalog index for a model without an output catalog");
     }
-    if (index.items != weight->shape[1] ||
-        index.dim != weight->shape[0] + 1) {
+    if (index.items != weight->shape[0] ||
+        index.dim != weight->shape[1] + 1) {
       return stale("catalog index catalog shape skew");
     }
     // Hostile declared cluster count: bound it BEFORE any arithmetic that
@@ -534,8 +475,9 @@ CatalogIndexDecodeResult decode_catalog_index(const MmapModel& model) {
         !region_ok(offs_count, offs_off, sizeof(std::uint32_t))) {
       return stale("catalog index region out of section bounds");
     }
-    if (cent_off % kIndexAlignment != 0 || perm_off % kIndexAlignment != 0 ||
-        offs_off % kIndexAlignment != 0) {
+    if (cent_off % kSectionAlignment != 0 ||
+        perm_off % kSectionAlignment != 0 ||
+        offs_off % kSectionAlignment != 0) {
       return stale("catalog index region misaligned");
     }
 

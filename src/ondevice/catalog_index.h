@@ -46,33 +46,8 @@
 
 namespace memcom {
 
-// An id table that either OWNS its storage (built in-process) or VIEWS the
-// serialized index section inside the file mapping (adopted, zero-copy) —
-// the u32 analogue of PlanBuffer. Move-only for the same dangling-view
-// reason.
-class IdBuffer {
- public:
-  IdBuffer() = default;
-  IdBuffer(IdBuffer&&) = default;
-  IdBuffer& operator=(IdBuffer&&) = default;
-  IdBuffer(const IdBuffer&) = delete;
-  IdBuffer& operator=(const IdBuffer&) = delete;
-
-  static IdBuffer owned(std::vector<std::uint32_t> values);
-  // `data` must stay mapped for the buffer's lifetime.
-  static IdBuffer view(const std::uint32_t* data, std::size_t count);
-
-  const std::uint32_t* data() const { return data_; }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  std::uint32_t operator[](std::size_t i) const { return data_[i]; }
-  bool zero_copy() const { return data_ != nullptr && storage_.empty(); }
-
- private:
-  std::vector<std::uint32_t> storage_;
-  const std::uint32_t* data_ = nullptr;
-  std::size_t size_ = 0;
-};
+// The index's u32 id tables: owned when built, zero-copy when adopted.
+using IdBuffer = SectionBuffer<std::uint32_t>;
 
 struct CatalogIndexConfig {
   Index clusters = 0;    // 0 → ~sqrt(items), clamped to [1, items]
@@ -92,7 +67,7 @@ struct CatalogIndex {
 
   Index items = 0;
   Index dim = 0;       // centroid width — for a model index this is
-                       // out.weight rows + 1 (bias folded as last lane)
+                       // out.weight's row width + 1 (bias as last lane)
   Index clusters = 0;
   std::uint64_t seed = 0;
   Index iterations = 0;
@@ -113,12 +88,6 @@ struct CatalogIndex {
     return static_cast<std::uint64_t>(clusters) *
            static_cast<std::uint64_t>(dim) * sizeof(float);
   }
-
-  // The `nprobe` best clusters for `query`, best-first under topk_better
-  // on (centroid dot, cluster id) — deterministic across kernel families
-  // because KernelSet::dot is bit-identical scalar vs AVX2.
-  std::vector<ScoredId> probe(const KernelSet& kernels, const float* query,
-                              Index nprobe) const;
 };
 
 // Default cell count: ~sqrt(items), the classic IVF heuristic.
@@ -141,17 +110,13 @@ CatalogIndex build_catalog_index(const float* rows, Index items, Index dim,
 CatalogIndex build_catalog_index(const QuantizedTensor& catalog,
                                  const CatalogIndexConfig& config = {});
 
-// Builds the index a .mcm model embeds: rows are the output catalog's
-// COLUMNS with the bias folded in — row j = [out.weight[:, j]; out.bias[j]],
-// dim = in + 1 — so serving can probe with [trunk; 1.0] and the centroid
-// ordering sees exactly the logit geometry. Throws on a model without an
-// output catalog.
+// Builds the index a .mcm model embeds: row j = [out.weight[j, :];
+// out.bias[j]], dim = in + 1 — so serving can probe with [trunk; 1.0] and
+// the centroid ordering sees exactly the logit geometry. Throws on a model
+// without an item-major output catalog.
 CatalogIndex build_catalog_index_for_model(const MmapModel& model,
                                            const CatalogIndexConfig& config = {});
 
-// Scans centroids first, then scores only the probed clusters' rows
-// through the wrapped CatalogScorer's dot_span path. Borrows both; they
-// must outlive the scorer.
 struct ScanStats {
   Index probed_clusters = 0;
   Index scanned_rows = 0;
@@ -160,6 +125,9 @@ struct ScanStats {
   std::uint64_t scanned_bytes = 0;
 };
 
+// Scans centroids first, then scores only the probed clusters' rows
+// through the wrapped CatalogScorer::score. Borrows both; they must
+// outlive the scorer. The index spans the scorer's query_dim() lanes.
 class PrunedCatalogScorer {
  public:
   PrunedCatalogScorer(const CatalogScorer& exact, const CatalogIndex& index);
@@ -168,14 +136,25 @@ class PrunedCatalogScorer {
   Index dim() const { return exact_->dim(); }
   const CatalogIndex& index() const { return *index_; }
 
-  // nprobe is clamped to [1, clusters]; nprobe == clusters is bit-identical
-  // to exact.top_k(query, k).
+  // The `nprobe` (clamped to [1, clusters]) best clusters for `query`,
+  // best-first under topk_better on (centroid dot, cluster id) —
+  // deterministic across kernel families because KernelSet::dot is
+  // bit-identical scalar vs AVX2.
+  std::vector<ScoredId> probe(const float* query, Index nprobe) const;
+  // Best k ids among the rows of the `probed` clusters.
+  std::vector<ScoredId> score_probed(const float* query, Index k,
+                                     const std::vector<ScoredId>& probed,
+                                     ScanStats* stats = nullptr) const;
+  // nprobe == clusters is bit-identical to exact.top_k(query, k).
   std::vector<ScoredId> top_k(const float* query, Index k, Index nprobe,
-                              ScanStats* stats = nullptr) const;
+                              ScanStats* stats = nullptr) const {
+    return score_probed(query, k, probe(query, nprobe), stats);
+  }
 
  private:
   const CatalogScorer* exact_;
   const CatalogIndex* index_;
+  std::uint64_t row_bytes_;  // stored bytes per row; 0 = varies by row
 };
 
 // Stored bytes dot_span reads for one row [offset, offset+count) of `src`

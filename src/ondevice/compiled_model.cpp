@@ -20,6 +20,7 @@ CompiledModel::CompiledModel(std::shared_ptr<const MmapModel> model,
 
 void CompiledModel::compile(PlanPolicy policy) {
   const SteadyClock::time_point start = SteadyClock::now();
+  check_output_layout(model_);
   kernels_ = &select_kernels();
   if (policy == PlanPolicy::kAdoptIfPresent) {
     PlanDecodeResult decoded = decode_plan(model_);
@@ -138,11 +139,13 @@ void CompiledModel::adopt(CompiledPlan plan) {
     bn.shift = std::move(shift);
   };
   auto adopt_dense = [&](DensePlan& dense, Index expect_in, Index expect_out,
-                         PlanBuffer bias) {
+                         PlanBuffer bias, bool item_major) {
     dense.weight = take();
     dense.bias_ref = take();
-    dense.in = dense.weight.entry->shape[0];
-    dense.out = dense.weight.entry->shape[1];
+    const Shape& shape = dense.weight.entry->shape;
+    check_eq(Index{2}, static_cast<Index>(shape.size()), "dense weight rank");
+    dense.in = shape[item_major ? 1 : 0];
+    dense.out = shape[item_major ? 0 : 1];
     // The scratch buffers the forward pass reads/writes are sized from
     // metadata, so an inconsistent file must fail here, not overflow the
     // arena at run time.
@@ -156,12 +159,16 @@ void CompiledModel::adopt(CompiledPlan plan) {
                   std::move(plan.bn1_shift));
   if (has_hidden_) {
     adopt_dense(dense1_, embed_dim_, hidden_dim_,
-                std::move(plan.dense1_bias));
+                std::move(plan.dense1_bias), /*item_major=*/false);
     adopt_batchnorm(bn2_, hidden_dim_, std::move(plan.bn2_scale),
                     std::move(plan.bn2_shift));
   }
   adopt_dense(out_, has_hidden_ ? hidden_dim_ : embed_dim_, output_dim_,
-              std::move(plan.out_bias));
+              std::move(plan.out_bias), /*item_major=*/true);
+  output_scorer_ = CatalogScorer(
+      out_.weight.src, out_.out, out_.in,
+      out_.weight.entry->byte_size + out_.bias_ref.entry->byte_size,
+      *kernels_, out_.bias.data());
   projection_ = std::move(plan.projection);
   check(next == plan.handles.size(), "plan: unused handle table entries");
 }

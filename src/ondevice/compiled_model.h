@@ -63,7 +63,9 @@ struct BatchNormPlan {
 };
 
 struct DensePlan {
-  TensorRef weight;    // [in, out] row-major
+  // dense1: [in, out] row-major. out: ITEM-MAJOR [out, in] (row j = item
+  // j, see ondevice/format.h), scored only through output_scorer().
+  TensorRef weight;
   TensorRef bias_ref;  // metered per run; values pre-dequantized below
   PlanBuffer bias;
   Index in = 0;
@@ -118,6 +120,9 @@ class CompiledModel {
   const BatchNormPlan& bn2() const { return bn2_; }
   const DensePlan& dense1() const { return dense1_; }
   const DensePlan& out() const { return out_; }
+  // The only code that computes an output logit, exact or pruned: the
+  // item-major out.weight rows with the pre-dequantized bias attached.
+  const CatalogScorer& output_scorer() const { return output_scorer_; }
   const PlanBuffer& projection() const { return projection_; }
 
   // Cold-start accounting: whether this plan was ADOPTED from the file's
@@ -211,6 +216,7 @@ class CompiledModel {
   PlanBuffer projection_;  // factorized: pre-dequantized [h, e]
   BatchNormPlan bn1_, bn2_;
   DensePlan dense1_, out_;
+  CatalogScorer output_scorer_;
 };
 
 }  // namespace memcom

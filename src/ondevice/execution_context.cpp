@@ -1,7 +1,6 @@
 #include "ondevice/execution_context.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "core/check.h"
@@ -431,10 +430,15 @@ const float* ExecutionContext::forward_trunk(const std::int32_t* ids,
 ExecutionContext::RawForward ExecutionContext::forward_scratch(
     const std::int32_t* ids, Index length) {
   const CompiledModel& plan = *compiled_;
+  const DensePlan& out = plan.out();
   RawForward raw;
   const float* trunk = forward_trunk(ids, length, raw);
   const auto out_start = Clock::now();
-  apply_dense(plan.out(), trunk, logits_.data());
+  // One full-range touch per blob covers the pages every row read touches.
+  touch(out.weight, 0, out.out * out.in);
+  touch(out.bias_ref, 0, out.out);
+  plan.output_scorer().score_all(trunk, logits_.data());
+  ++op_count_;
   raw.compute_ms += elapsed_ms(out_start);
   activation_bytes_ += plan.output_dim() * 4 + plan.embed_dim() * 4;
   meter_.note_activation_bytes(activation_bytes_);
@@ -448,106 +452,37 @@ ExecutionContext::RawForward ExecutionContext::forward_pruned(
     std::uint64_t* scanned_bytes) {
   const CompiledModel& plan = *compiled_;
   const CatalogIndex& index = plan.catalog_index();
-  const DensePlan& dense = plan.out();
-  const Index in = dense.in;
-  const Index out = dense.out;
+  const DensePlan& out = plan.out();
+  const Index in = out.in;
 
   RawForward raw;
   const float* trunk = forward_trunk(ids, length, raw);
   const auto out_start = Clock::now();
 
-  // Metering: the SAME full-range touches as the exact scan. out.weight is
-  // [in, items] row-major, so a probed COLUMN strides the whole blob one
-  // element per page-sized row region — page-granular residency is the
-  // full table either way. The pruning win lives in the analytic
-  // scanned_bytes counters and the measured scan time, not in pages.
-  touch(dense.weight, 0, in * out);
-  touch(dense.bias_ref, 0, out);
-
-  // Probe query [trunk; 1.0] against centroids built over [W[:,j]; b_j].
-  const KernelSet& ker = plan.kernels();
+  // Probe query [trunk; 1.0] against centroids built over [W[j, :]; b_j],
+  // then score the probed rows with the exact scan's own expression.
   std::copy(trunk, trunk + in, query_.begin());
   query_[static_cast<std::size_t>(in)] = 1.0f;
-  const std::vector<ScoredId> probed = index.probe(ker, query_.data(), nprobe);
+  const PrunedCatalogScorer pruned(plan.output_scorer(), index);
+  const std::vector<ScoredId> probed = pruned.probe(query_.data(), nprobe);
+  ScanStats stats;
+  *ranked = pruned.score_probed(query_.data(), top_k, probed, &stats);
 
-  // Unprobed logits stay 0 — pruned consumers read the ranked list.
-  std::fill(logits_.begin(), logits_.end(), 0.0f);
-
-  // Per-column replay of apply_dense for probed items only. Bit-exactness
-  // vs the exact path: axpy (scalar AND AVX2, the non-fused contract) does
-  // y[j] += x[k] * w[k,j] per element with no horizontal reduction, so
-  // accumulating column j in the same increasing-k order reproduces y[j]
-  // exactly; the f32 path MACs every k unconditionally while the quantized
-  // path skips x[k] == 0 rows — both mirrored below — and the bias lands
-  // last, matching acc_add. When the family's axpy is the opt-in FUSED MAC
-  // ("fma" in the kernel-set name) the replay fuses with std::fma too.
-  const bool fused = std::strstr(ker.name, "fma") != nullptr;
-  const DType wt = dense.weight.dtype;
-  const std::uint64_t elem_bytes = wt == DType::kF32 ? 4
-                                   : wt == DType::kF16 ? 2
-                                                       : 1;
-  const DType bt = dense.bias_ref.dtype;
-  const std::uint64_t bias_elem_bytes = bt == DType::kF32 ? 4
-                                        : bt == DType::kF16 ? 2
-                                                            : 1;
-  const Index group = dense.weight.src.group_size;
-
-  const Index kept = std::min(top_k, out);
-  std::vector<ScoredId> heap;
-  heap.reserve(static_cast<std::size_t>(kept));
-  std::uint64_t rows = 0;
-  std::uint64_t bytes = index.centroid_bytes();
+  // Meter only what the scan read: each probed row and its bias entry.
   for (const ScoredId& cluster : probed) {
-    const std::size_t begin =
-        index.offsets[static_cast<std::size_t>(cluster.id)];
     const std::size_t end =
         index.offsets[static_cast<std::size_t>(cluster.id) + 1];
-    for (std::size_t pos = begin; pos < end; ++pos) {
+    for (std::size_t pos = index.offsets[static_cast<std::size_t>(cluster.id)];
+         pos < end; ++pos) {
       const Index j = static_cast<Index>(index.perm[pos]);
-      float acc = 0.0f;
-      if (dense.weight.f32 != nullptr) {
-        const float* w = dense.weight.f32;
-        if (fused) {
-          for (Index k = 0; k < in; ++k) {
-            acc = std::fma(trunk[k], w[k * out + j], acc);
-          }
-        } else {
-          for (Index k = 0; k < in; ++k) {
-            acc += trunk[k] * w[k * out + j];
-          }
-        }
-      } else {
-        for (Index k = 0; k < in; ++k) {
-          const float xv = trunk[k];
-          if (xv == 0.0f) {
-            continue;
-          }
-          float wv = 0.0f;
-          ker.dequant_span(dense.weight.src, k * out + j, 1, &wv);
-          acc = fused ? std::fma(xv, wv, acc) : acc + xv * wv;
-        }
-      }
-      acc += dense.bias[static_cast<std::size_t>(j)];
-      logits_[static_cast<std::size_t>(j)] = acc;
-      if (kept > 0) {
-        topk_offer(heap, kept, ScoredId{acc, j});
-      }
-      // Analytic column bytes: one stored element per weight row, plus the
-      // distinct i4g scale groups the strided walk crosses, plus the bias
-      // element.
-      bytes += static_cast<std::uint64_t>(in) * elem_bytes + bias_elem_bytes;
-      if (wt == DType::kI4G) {
-        const Index span_groups =
-            (j + (in - 1) * out) / group - j / group + 1;
-        bytes += static_cast<std::uint64_t>(std::min(in, span_groups)) * 4;
-      }
+      touch(out.weight, j * in, in);
+      touch(out.bias_ref, j, 1);
     }
-    rows += static_cast<std::uint64_t>(end - begin);
   }
-  std::sort(heap.begin(), heap.end(), topk_better);
-  *ranked = std::move(heap);
+  const auto rows = static_cast<std::uint64_t>(stats.scanned_rows);
   *scanned_rows += rows;
-  *scanned_bytes += bytes;
+  *scanned_bytes += stats.scanned_bytes +
+                    rows * span_scan_bytes(out.bias_ref.src, 0, 1);
 
   op_count_ += 2;  // centroid probe + pruned gather-scan
   activation_bytes_ += plan.output_dim() * 4 + plan.embed_dim() * 4;
@@ -605,11 +540,6 @@ BatchResult ExecutionContext::run_batch(
   check(nprobes == nullptr ||
             static_cast<Index>(nprobes->size()) == result.batch,
         "run_batch: nprobes size mismatch");
-  // Exact ranked rows scan the whole stored catalog (weight + bias blobs);
-  // computed once, charged per exact ranked row below.
-  const std::uint64_t exact_scan_bytes =
-      compiled_->out().weight.entry->byte_size +
-      compiled_->out().bias_ref.entry->byte_size;
   for (Index b = 0; b < result.batch; ++b) {
     const auto& history = histories[static_cast<std::size_t>(b)];
     const Index nprobe =
@@ -629,15 +559,18 @@ BatchResult ExecutionContext::run_batch(
         (*topk_out)[static_cast<std::size_t>(b)] =
             topk_select(logits_.data(), dim, top_k);
         result.scanned_rows += static_cast<std::uint64_t>(dim);
-        result.scanned_bytes += exact_scan_bytes;
+        // The whole stored catalog: weight + bias blobs.
+        result.scanned_bytes += compiled_->output_scorer().resident_bytes();
       }
     }
     if (top_k > 0) {
       ++result.ranked_rows;
       result.catalog_rows += static_cast<std::uint64_t>(dim);
     }
-    std::memcpy(&result.logits.at2(b, 0), logits_.data(),
-                static_cast<std::size_t>(dim) * sizeof(float));
+    if (!pruned) {
+      std::memcpy(&result.logits.at2(b, 0), logits_.data(),
+                  static_cast<std::size_t>(dim) * sizeof(float));
+    }
     compute += raw.compute_ms;
     embed_compute += raw.embed_compute_ms;
     onehot_extra += raw.onehot_extra_ms;

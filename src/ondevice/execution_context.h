@@ -59,8 +59,9 @@ struct BatchResult {
   // Catalog-scan accounting, populated only for RANKED rows (top_k > 0).
   // An exact scan scores every catalog item; a pruned scan (nprobe > 0
   // with an adopted index) scores only the probed clusters' items, and
-  // scanned_bytes is the ANALYTIC compressed payload of those columns plus
-  // the centroid table. pruned fraction = 1 - scanned_rows/catalog_rows.
+  // scanned_bytes is the ANALYTIC compressed payload of those rows and
+  // their bias entries plus the centroid table. pruned fraction =
+  // 1 - scanned_rows/catalog_rows.
   std::uint64_t ranked_rows = 0;    // rows that went through top-k ranking
   std::uint64_t catalog_rows = 0;   // ranked_rows * catalog items
   std::uint64_t scanned_rows = 0;   // catalog items actually scored
@@ -101,12 +102,12 @@ class ExecutionContext {
   // `nprobes` (optional, per row, parallel to `histories`) turns a row's
   // ranking into the CLUSTERED PRUNED scan when its value is > 0 AND the
   // bound plan carries an adopted catalog index: the trunk vector probes
-  // the nprobe best centroids and only those clusters' catalog columns are
-  // scored — every score it does produce is bit-identical to the exact
-  // row's logit (see forward_pruned), so nprobe == clusters reproduces the
-  // exact ranking exactly. 0 (or a missing/defective index) is the exact
-  // full scan. Pruned rows fill result.logits with the probed entries only
-  // (unprobed positions are 0): consumers of pruned rankings read
+  // the nprobe best centroids and only those clusters' catalog rows are
+  // scored — through the same CatalogScorer::score the exact logits use,
+  // so every score it produces is bit-identical to the exact row's logit
+  // and nprobe == clusters reproduces the exact ranking exactly. 0 (or a
+  // missing/defective index) is the exact full scan. A pruned row's
+  // result.logits row stays zero: consumers of pruned rankings read
   // topk_out, not dense logits.
   BatchResult run_batch(const std::vector<std::vector<std::int32_t>>& histories,
                         Index top_k,
@@ -162,11 +163,10 @@ class ExecutionContext {
   // Computes logits into logits_; returns raw timings. The code path
   // behind run_view() and exact run_batch() rows.
   RawForward forward_scratch(const std::int32_t* ids, Index length);
-  // Pruned ranked forward: trunk → centroid probe → per-column replay of
-  // only the probed clusters' catalog columns, each bit-identical to the
-  // logit apply_dense would produce (same accumulation order, same
-  // FMA-ness as the bound kernel family's axpy). Ranked result into
-  // `ranked`; analytic scan counters accumulate into the two totals.
+  // Pruned ranked forward: trunk → centroid probe → the plan's output
+  // scorer over only the probed clusters' catalog rows, metering exactly
+  // those rows. Ranked result into `ranked`; analytic scan counters
+  // accumulate into the two totals.
   RawForward forward_pruned(const std::int32_t* ids, Index length,
                             Index nprobe, Index top_k,
                             std::vector<ScoredId>* ranked,
@@ -178,7 +178,8 @@ class ExecutionContext {
   void embed_onehot_pooled(const std::int32_t* ids, Index length);
 
   void apply_batchnorm(const BatchNormPlan& bn, float* x);
-  // y[out] = x[in] * W[in,out] + b[out]
+  // y[out] = x[in] * W[in,out] + b[out] (the hidden layer; the output
+  // layer is scored through CompiledModel::output_scorer()).
   void apply_dense(const DensePlan& dense, const float* x, float* y);
 
   // Cache partition tags for the plan's embedding tensors.

@@ -21,10 +21,6 @@ namespace memcom {
 namespace {
 constexpr std::uint32_t kMagic = 0x314D434DU;  // "MCM1" little-endian
 constexpr std::uint64_t kBlobAlignment = 64;
-
-std::uint64_t align_up(std::uint64_t offset, std::uint64_t alignment) {
-  return (offset + alignment - 1) / alignment * alignment;
-}
 }  // namespace
 
 ModelWriter::ModelWriter(std::string path) : path_(std::move(path)) {}
@@ -330,6 +326,13 @@ MmapModel::~MmapModel() {
   if (mapping_ != nullptr) {
     ::munmap(const_cast<std::uint8_t*>(mapping_), file_size_);
   }
+}
+
+void check_output_layout(const MmapModel& model) {
+  check(model.has_metadata(kOutputLayoutKey) &&
+            model.metadata_value(kOutputLayoutKey) == kOutputLayoutItemMajor,
+        "model file predates the item-major output catalog (no "
+        "output_layout = item_major metadata); re-export it");
 }
 
 std::string MmapModel::metadata_value(const std::string& key) const {

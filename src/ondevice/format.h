@@ -14,6 +14,11 @@
 // the paper). Blob offsets are relative to the file start so the memory
 // meter can attribute page touches.
 //
+// The output catalog `out.weight` is stored ITEM-MAJOR, [items, in]: one
+// item is one contiguous row (`out.bias` stays a separate [items] tensor).
+// RecModel::export_mcm transposes the training [in, items] parameter and
+// stamps output_layout = item_major; loaders refuse an unstamped file.
+//
 // Versioning discipline: v2 added per-entry group_size for grouped dtypes;
 // v3 adds an OPTIONAL trailing plan section and two u64 header fields
 // locating it; v4 adds an OPTIONAL clustered catalog-index section and two
@@ -45,6 +50,9 @@ struct TensorEntry {
 
   Index numel() const { return shape_numel(shape); }
 };
+
+inline constexpr const char* kOutputLayoutKey = "output_layout";
+inline constexpr const char* kOutputLayoutItemMajor = "item_major";
 
 class ModelWriter {
  public:
@@ -196,5 +204,8 @@ class MmapModel {
   // concurrent serving engines sharing one model stay race-free.
   mutable std::atomic<std::uint64_t> entry_lookups_{0};
 };
+
+// Throws, asking for a re-export, unless `model` is stamped item-major.
+void check_output_layout(const MmapModel& model);
 
 }  // namespace memcom

@@ -114,6 +114,13 @@ float dot_span(const SpanSrc& src, Index offset, Index count,
   return reduce8(lane);
 }
 
+void dot_rows(const SpanSrc& src, Index first, Index rows, Index dim,
+              const float* vec, float* out) {
+  for (Index r = 0; r < rows; ++r) {
+    out[r] = dot_span(src, (first + r) * dim, dim, vec);
+  }
+}
+
 }  // namespace scalar
 
 namespace {
@@ -122,6 +129,7 @@ const KernelSet kScalar = {
     "scalar",           scalar::dequant_span,       scalar::acc_add,
     scalar::acc_scale_add, scalar::acc_scale_bias_add, scalar::acc_mult_add,
     scalar::axpy,       scalar::dot,                scalar::dot_span,
+    scalar::dot_rows,
 };
 
 }  // namespace
@@ -396,6 +404,70 @@ __attribute__((target("avx2,f16c"))) float dot_span(const SpanSrc& src,
   return reduce8(lane);
 }
 
+// Four rows at a time with one accumulator each, so the rows' add chains
+// overlap. Per row it is dot_span's arithmetic: the same elements (read in
+// place when kInPlace is f32 or i8, else dequantized into a buffer), the
+// same striped lanes, and reduce8's order via hadd. Rows off the 8-lane
+// grid, longer than a chunk, or past the last group use dot_span.
+template <DType kInPlace>
+__attribute__((target("avx2,f16c"))) void dot_rows_by4(
+    const SpanSrc& src, Index first, Index rows, Index dim, const float* vec,
+    float* out) {
+  constexpr Index kRows = 4;
+  const __m256 vscale = _mm256_set1_ps(src.scale);
+  float buf[kRows][kDotChunk];
+  Index r = 0;
+  for (; dim % 8 == 0 && dim <= kDotChunk && r + kRows <= rows; r += kRows) {
+    const std::uint8_t* row[kRows];
+    __m256 acc[kRows];
+    for (Index g = 0; g < kRows; ++g) {
+      const Index offset = (first + r + g) * dim;
+      if constexpr (kInPlace == DType::kF32) {
+        row[g] = src.payload + offset * 4;
+      } else if constexpr (kInPlace == DType::kI8) {
+        row[g] = src.payload + offset;
+      } else {
+        dequant_span_impl(src, offset, dim, buf[g]);
+        row[g] = reinterpret_cast<const std::uint8_t*>(buf[g]);
+      }
+      acc[g] = _mm256_setzero_ps();
+    }
+    for (Index i = 0; i < dim; i += 8) {
+      const __m256 vq = _mm256_loadu_ps(vec + i);
+      for (Index g = 0; g < kRows; ++g) {
+        const __m256 v =
+            kInPlace == DType::kI8
+                ? dequant8_i8(reinterpret_cast<const std::int8_t*>(row[g]) + i,
+                              vscale)
+                : _mm256_loadu_ps(reinterpret_cast<const float*>(row[g]) + i);
+        acc[g] = _mm256_add_ps(acc[g], _mm256_mul_ps(v, vq));
+      }
+    }
+    // Low half: each row's (l0+l1)+(l2+l3); high half: (l4+l5)+(l6+l7).
+    const __m256 h = _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]),
+                                    _mm256_hadd_ps(acc[2], acc[3]));
+    _mm_storeu_ps(out + r, _mm_add_ps(_mm256_castps256_ps128(h),
+                                      _mm256_extractf128_ps(h, 1)));
+  }
+  for (; r < rows; ++r) {
+    out[r] = dot_span(src, (first + r) * dim, dim, vec);
+  }
+}
+
+__attribute__((target("avx2,f16c"))) void dot_rows(const SpanSrc& src,
+                                                   Index first, Index rows,
+                                                   Index dim,
+                                                   const float* vec,
+                                                   float* out) {
+  if (src.dtype == DType::kF32) {
+    dot_rows_by4<DType::kF32>(src, first, rows, dim, vec, out);
+  } else if (src.dtype == DType::kI8) {
+    dot_rows_by4<DType::kI8>(src, first, rows, dim, vec, out);
+  } else {
+    dot_rows_by4<DType::kI4G>(src, first, rows, dim, vec, out);
+  }
+}
+
 }  // namespace avx2
 
 namespace {
@@ -404,6 +476,7 @@ const KernelSet kAvx2 = {
     "avx2",             avx2::dequant_span_impl,  avx2::acc_add,
     avx2::acc_scale_add, avx2::acc_scale_bias_add, avx2::acc_mult_add,
     avx2::axpy,         avx2::dot,                avx2::dot_span,
+    avx2::dot_rows,
 };
 
 // Same set with the FUSED dense MAC swapped in (documented tolerance).
@@ -411,6 +484,7 @@ const KernelSet kAvx2Fma = {
     "avx2+fma",         avx2::dequant_span_impl,  avx2::acc_add,
     avx2::acc_scale_add, avx2::acc_scale_bias_add, avx2::acc_mult_add,
     avx2::axpy_fma,     avx2::dot,                avx2::dot_span,
+    avx2::dot_rows,
 };
 
 }  // namespace
@@ -430,6 +504,7 @@ const KernelSet kNeonStub = {
     "neon-stub",        scalar::dequant_span,       scalar::acc_add,
     scalar::acc_scale_add, scalar::acc_scale_bias_add, scalar::acc_mult_add,
     scalar::axpy,       scalar::dot,                scalar::dot_span,
+    scalar::dot_rows,
 };
 
 }  // namespace

@@ -84,6 +84,10 @@ struct KernelSet {
   // every dtype (f32/f16/i8/i4/i4g).
   float (*dot_span)(const SpanSrc& src, Index offset, Index count,
                     const float* vec) = nullptr;
+  // out[r] = dot_span(src, (first + r) * dim, dim, vec) for r in [0, rows),
+  // bit for bit: a block of item-major catalog rows in one call.
+  void (*dot_rows)(const SpanSrc& src, Index first, Index rows, Index dim,
+                   const float* vec, float* out) = nullptr;
 };
 
 // The scalar reference set (always available).

@@ -1,5 +1,7 @@
 #include "ondevice/memory_meter.h"
 
+#include <algorithm>
+
 #include "core/check.h"
 
 namespace memcom {
@@ -15,19 +17,19 @@ void MemoryMeter::touch(Index offset_bytes, Index length_bytes) {
     return;
   }
   const Index first = offset_bytes / page_size_;
-  const Index last = (offset_bytes + length_bytes - 1) / page_size_;
-  if (first >= memo_first_ && last + readahead_pages_ <= memo_last_) {
-    return;  // interval (incl. its readahead) already fully resident
+  // Model OS readahead: a fault on the range's last page pulls a few more.
+  const Index last =
+      (offset_bytes + length_bytes - 1) / page_size_ + readahead_pages_;
+  const auto words = static_cast<std::size_t>(last / 64 + 1);
+  if (words > bits_.size()) {
+    bits_.resize(std::max(words, bits_.size() * 2), 0);
   }
   for (Index p = first; p <= last; ++p) {
-    pages_.insert(p);
-    // Model OS readahead: sequential faults pull a few extra pages.
-    for (Index r = 1; r <= readahead_pages_; ++r) {
-      pages_.insert(p + r);
-    }
+    std::uint64_t& word = bits_[static_cast<std::size_t>(p / 64)];
+    const std::uint64_t bit = std::uint64_t{1} << (p % 64);
+    page_count_ += (word & bit) == 0 ? 1 : 0;
+    word |= bit;
   }
-  memo_first_ = first;
-  memo_last_ = last + readahead_pages_;
 }
 
 void MemoryMeter::note_activation_bytes(Index bytes) {
@@ -35,14 +37,13 @@ void MemoryMeter::note_activation_bytes(Index bytes) {
 }
 
 Index MemoryMeter::weight_resident_bytes() const {
-  return static_cast<Index>(pages_.size()) * page_size_;
+  return page_count_ * page_size_;
 }
 
 void MemoryMeter::reset() {
-  pages_.clear();
+  std::fill(bits_.begin(), bits_.end(), 0);
+  page_count_ = 0;
   activation_peak_ = 0;
-  memo_first_ = -1;
-  memo_last_ = -2;
 }
 
 }  // namespace memcom

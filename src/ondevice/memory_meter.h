@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
+#include <vector>
 
 #include "core/tensor.h"
 
@@ -25,9 +25,7 @@ class MemoryMeter {
   // Tracks peak transient allocation (activation arena).
   void note_activation_bytes(Index bytes);
 
-  Index touched_pages() const {
-    return static_cast<Index>(pages_.size());
-  }
+  Index touched_pages() const { return page_count_; }
   Index weight_resident_bytes() const;
   Index activation_peak_bytes() const { return activation_peak_; }
   Index total_resident_bytes() const {
@@ -41,13 +39,10 @@ class MemoryMeter {
  private:
   Index page_size_;
   Index readahead_pages_;
-  std::set<Index> pages_;
+  // One bit per weight-file page, grown on demand; page_count_ = set bits.
+  std::vector<std::uint64_t> bits_;
+  Index page_count_ = 0;
   Index activation_peak_ = 0;
-  // Steady-state fast path: repeated forwards touch the same ranges over
-  // and over, so remember the last page interval already known to be fully
-  // resident and skip the set walk (and its potential node allocations).
-  Index memo_first_ = -1;
-  Index memo_last_ = -2;
 };
 
 }  // namespace memcom

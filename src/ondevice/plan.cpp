@@ -12,22 +12,18 @@
 namespace memcom {
 
 namespace {
-constexpr std::uint32_t kPlanMagic = 0x4E414C50U;  // "PLAN" little-endian
-constexpr std::uint32_t kPlanFormatVersion = 1;
-constexpr std::uint32_t kPlanEndianCheck = 0x01020304U;
 // Plan buffers were produced by the scalar reference dequantizer, so the
-// plan is valid for every kernel dispatch family. A future writer that
-// drops the guarantee must clear the bit, and this reader will refuse.
-constexpr std::uint32_t kPlanFlagScalarPredequant = 1U << 0;
-constexpr std::uint64_t kPlanAlignment = 64;
+// plan is valid for every kernel dispatch family (flag bit 0). A future
+// writer that drops the guarantee must clear the bit, and this reader will
+// refuse.
+constexpr SectionEnvelope kPlanEnvelope = {
+    "plan", 0x4E414C50U /* "PLAN" little-endian */, 1, 1U << 0,
+    "plan buffers not scalar-predequantized"};
+constexpr std::uint32_t kSectionEndianCheck = 0x01020304U;
 // Fixed-size prefix (magic, format, endian, flags) + trailing checksum: the
 // least a section can hold before structural parsing is even attempted.
-constexpr std::uint64_t kPlanMinBytes = 4 * sizeof(std::uint32_t) + 8;
+constexpr std::uint64_t kSectionMinBytes = 4 * sizeof(std::uint32_t) + 8;
 constexpr std::size_t kPlanBufferCount = 7;
-
-std::uint64_t align_up(std::uint64_t offset, std::uint64_t alignment) {
-  return (offset + alignment - 1) / alignment * alignment;
-}
 
 // The seven buffer slots, in serialization order. Unused slots (e.g. bn2 on
 // a ranking trunk) serialize as count 0 so the layout never branches.
@@ -103,21 +99,6 @@ Index embedding_stage_ops(Technique kind) {
   return 1;
 }
 
-PlanBuffer PlanBuffer::owned(std::vector<float> values) {
-  PlanBuffer buffer;
-  buffer.storage_ = std::move(values);
-  buffer.data_ = buffer.storage_.data();
-  buffer.size_ = buffer.storage_.size();
-  return buffer;
-}
-
-PlanBuffer PlanBuffer::view(const float* data, std::size_t count) {
-  PlanBuffer buffer;
-  buffer.data_ = data;
-  buffer.size_ = count;
-  return buffer;
-}
-
 SpanSrc make_span_src(const TensorEntry& entry, const std::uint8_t* payload) {
   SpanSrc src;
   src.dtype = entry.dtype;
@@ -177,6 +158,7 @@ std::vector<std::string> plan_tensor_roles(Technique kind, bool has_hidden) {
 }
 
 CompiledPlan build_plan(const MmapModel& model) {
+  check_output_layout(model);
   CompiledPlan plan;
   plan.model_name = model.model_name();
   plan.model_version = model.model_version();
@@ -257,6 +239,66 @@ std::uint64_t plan_checksum(const std::uint8_t* data, std::size_t size) {
   return (hash ^ static_cast<std::uint64_t>(size)) * kPrime;
 }
 
+std::uint64_t align_up(std::uint64_t offset, std::uint64_t alignment) {
+  return (offset + alignment - 1) / alignment * alignment;
+}
+
+void write_section_prefix(std::ostream& os, const SectionEnvelope& envelope) {
+  write_u32(os, envelope.magic);
+  write_u32(os, envelope.format_version);
+  write_u32(os, kSectionEndianCheck);
+  write_u32(os, envelope.required_flags);
+}
+
+void pad_section_to(std::ostream& os, std::uint64_t offset) {
+  const auto at = static_cast<std::uint64_t>(os.tellp());
+  check(at <= offset, "section layout overflow");
+  for (std::uint64_t p = at; p < offset; ++p) {
+    os.put('\0');
+  }
+}
+
+std::vector<std::uint8_t> seal_section(const std::string& body) {
+  std::vector<std::uint8_t> bytes(body.begin(), body.end());
+  const std::uint64_t checksum = plan_checksum(bytes.data(), bytes.size());
+  const auto* tail = reinterpret_cast<const std::uint8_t*>(&checksum);
+  bytes.insert(bytes.end(), tail, tail + sizeof(checksum));
+  return bytes;
+}
+
+std::string check_section_envelope(const std::uint8_t* data,
+                                   std::uint64_t size,
+                                   const SectionEnvelope& envelope) {
+  const std::string what = envelope.what;
+  if (size < kSectionMinBytes) {
+    return what + " section truncated (" + std::to_string(size) + " bytes)";
+  }
+  // Fixed-prefix compatibility gate first, checksum second; callers then
+  // parse structure and semantics, each layer reading only what the
+  // previous one vouched for.
+  std::uint32_t prefix[4];
+  std::memcpy(prefix, data, sizeof(prefix));
+  if (prefix[0] != envelope.magic) {
+    return "bad " + what + " magic";
+  }
+  if (prefix[1] != envelope.format_version) {
+    return "unsupported " + what + " format version " +
+           std::to_string(prefix[1]);
+  }
+  if (prefix[2] != kSectionEndianCheck) {
+    return what + " endianness mismatch";
+  }
+  if ((prefix[3] & envelope.required_flags) != envelope.required_flags) {
+    return envelope.missing_flags_reason;
+  }
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, data + size - 8, sizeof(stored));
+  if (plan_checksum(data, static_cast<std::size_t>(size - 8)) != stored) {
+    return what + " checksum mismatch";
+  }
+  return "";
+}
+
 std::vector<std::uint8_t> serialize_plan(const CompiledPlan& plan) {
   const std::vector<const PlanBuffer*> slots = buffer_slots(plan);
   // Offsets are fixed-width u64s, so the header size does not depend on
@@ -264,10 +306,7 @@ std::vector<std::uint8_t> serialize_plan(const CompiledPlan& plan) {
   // regions out 64-byte-aligned behind it, then serialize for real.
   auto emit_header = [&](std::ostream& os,
                          const std::vector<std::uint64_t>& offsets) {
-    write_u32(os, kPlanMagic);
-    write_u32(os, kPlanFormatVersion);
-    write_u32(os, kPlanEndianCheck);
-    write_u32(os, kPlanFlagScalarPredequant);
+    write_section_prefix(os, kPlanEnvelope);
     write_string(os, plan.model_name);
     write_u64(os, plan.model_version);
     write_string(os, plan.arch);
@@ -301,7 +340,7 @@ std::vector<std::uint8_t> serialize_plan(const CompiledPlan& plan) {
     if (slots[i]->empty()) {
       continue;
     }
-    cursor = align_up(cursor, kPlanAlignment);
+    cursor = align_up(cursor, kSectionAlignment);
     offsets[i] = cursor;
     cursor += slots[i]->byte_size();
   }
@@ -312,19 +351,10 @@ std::vector<std::uint8_t> serialize_plan(const CompiledPlan& plan) {
     if (slots[i]->empty()) {
       continue;
     }
-    for (std::uint64_t p = static_cast<std::uint64_t>(os.tellp());
-         p < offsets[i]; ++p) {
-      os.put('\0');
-    }
+    pad_section_to(os, offsets[i]);
     write_f32_array(os, slots[i]->data(), slots[i]->size());
   }
-  const std::string body = os.str();
-  const std::uint64_t checksum = plan_checksum(
-      reinterpret_cast<const std::uint8_t*>(body.data()), body.size());
-  write_u64(os, checksum);
-
-  const std::string full = os.str();
-  return std::vector<std::uint8_t>(full.begin(), full.end());
+  return seal_section(os.str());
 }
 
 PlanDecodeResult decode_plan(const MmapModel& model) {
@@ -338,36 +368,9 @@ PlanDecodeResult decode_plan(const MmapModel& model) {
   }
   const std::uint8_t* base = model.plan_data();
   const std::uint64_t size = model.plan_size();
-  if (size < kPlanMinBytes) {
-    return stale("plan section truncated (" + std::to_string(size) +
-                 " bytes)");
-  }
-
-  // Fixed-prefix compatibility gate first, checksum second, structure
-  // third, semantics last — each layer only reads what the previous one
-  // vouched for.
-  std::uint32_t magic = 0, format = 0, endian = 0, flags = 0;
-  std::memcpy(&magic, base, 4);
-  std::memcpy(&format, base + 4, 4);
-  std::memcpy(&endian, base + 8, 4);
-  std::memcpy(&flags, base + 12, 4);
-  if (magic != kPlanMagic) {
-    return stale("bad plan magic");
-  }
-  if (format != kPlanFormatVersion) {
-    return stale("unsupported plan format version " + std::to_string(format));
-  }
-  if (endian != kPlanEndianCheck) {
-    return stale("plan endianness mismatch");
-  }
-  if ((flags & kPlanFlagScalarPredequant) == 0) {
-    return stale("plan buffers not scalar-predequantized");
-  }
-  std::uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, base + size - 8, 8);
-  if (plan_checksum(base, static_cast<std::size_t>(size - 8)) !=
-      stored_checksum) {
-    return stale("plan checksum mismatch");
+  if (std::string reason = check_section_envelope(base, size, kPlanEnvelope);
+      !reason.empty()) {
+    return stale(std::move(reason));
   }
   const std::uint64_t payload_limit = size - 8;  // bytes before the checksum
 
@@ -421,7 +424,7 @@ PlanDecodeResult decode_plan(const MmapModel& model) {
           offset > payload_limit - count * sizeof(float)) {
         return stale("plan buffer out of section bounds");
       }
-      if (offset % kPlanAlignment != 0) {
+      if (offset % kSectionAlignment != 0) {
         return stale("plan buffer misaligned");
       }
       *slots[i] = PlanBuffer::view(

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -60,38 +61,53 @@ Technique technique_from_metadata(const std::string& name);
 // overhead the simulated device model charges per forward).
 Index embedding_stage_ops(Technique kind);
 
-// A pre-dequantized float buffer that either OWNS its storage (built
-// in-process) or VIEWS a serialized plan section inside the file mapping
-// (adopted, zero-copy). Consumers only ever use data()/size(), so the two
-// origins are interchangeable; move-only because a view of a moved-from
-// owner would dangle.
-class PlanBuffer {
+// A section array that either OWNS its storage (built in-process) or VIEWS
+// a serialized section inside the file mapping (adopted, zero-copy).
+// Consumers only ever use data()/size(), so the two origins are
+// interchangeable; move-only because a view of a moved-from owner would
+// dangle.
+template <typename T>
+class SectionBuffer {
  public:
-  PlanBuffer() = default;
-  PlanBuffer(PlanBuffer&&) = default;
-  PlanBuffer& operator=(PlanBuffer&&) = default;
-  PlanBuffer(const PlanBuffer&) = delete;
-  PlanBuffer& operator=(const PlanBuffer&) = delete;
+  SectionBuffer() = default;
+  SectionBuffer(SectionBuffer&&) = default;
+  SectionBuffer& operator=(SectionBuffer&&) = default;
+  SectionBuffer(const SectionBuffer&) = delete;
+  SectionBuffer& operator=(const SectionBuffer&) = delete;
 
-  static PlanBuffer owned(std::vector<float> values);
+  static SectionBuffer owned(std::vector<T> values) {
+    SectionBuffer buffer;
+    buffer.storage_ = std::move(values);
+    buffer.data_ = buffer.storage_.data();
+    buffer.size_ = buffer.storage_.size();
+    return buffer;
+  }
   // `data` must stay mapped for the buffer's lifetime (the CompiledModel
   // keeps the MmapModel alive exactly as long as the plan).
-  static PlanBuffer view(const float* data, std::size_t count);
+  static SectionBuffer view(const T* data, std::size_t count) {
+    SectionBuffer buffer;
+    buffer.data_ = data;
+    buffer.size_ = count;
+    return buffer;
+  }
 
-  const float* data() const { return data_; }
+  const T* data() const { return data_; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  std::size_t byte_size() const { return size_ * sizeof(float); }
-  float operator[](std::size_t i) const { return data_[i]; }
-  // True when the buffer views the mmap'd plan section instead of owning a
-  // heap copy — the cold-start win adoption is about.
+  std::size_t byte_size() const { return size_ * sizeof(T); }
+  T operator[](std::size_t i) const { return data_[i]; }
+  // True when the buffer views the mmap'd section instead of owning a heap
+  // copy — the cold-start win adoption is about.
   bool zero_copy() const { return data_ != nullptr && storage_.empty(); }
 
  private:
-  std::vector<float> storage_;
-  const float* data_ = nullptr;
+  std::vector<T> storage_;
+  const T* data_ = nullptr;
   std::size_t size_ = 0;
 };
+
+// Pre-dequantized plan floats.
+using PlanBuffer = SectionBuffer<float>;
 
 // A tensor handle as a stable position in the file's directory: readers
 // re-resolve `index` through MmapModel::entry_at() and verify the recorded
@@ -160,6 +176,29 @@ struct PlanDecodeResult {
 // out-of-bounds buffer) comes back as kStale with a reason so the caller
 // can fall back to build_plan().
 PlanDecodeResult decode_plan(const MmapModel& model);
+
+// The envelope both optional sections share (v3 plan, v4 catalog index):
+// a 16-byte prefix (magic, format version, endianness check, flags),
+// 64-byte-aligned regions, and a trailing plan_checksum of all before it.
+struct SectionEnvelope {
+  const char* what;  // "plan" / "catalog index", the stale reasons' subject
+  std::uint32_t magic;
+  std::uint32_t format_version;
+  std::uint32_t required_flags;
+  const char* missing_flags_reason;
+};
+inline constexpr std::uint64_t kSectionAlignment = 64;
+std::uint64_t align_up(std::uint64_t offset, std::uint64_t alignment);
+void write_section_prefix(std::ostream& os, const SectionEnvelope& envelope);
+// Zero-fills `os` up to the region offset `offset`.
+void pad_section_to(std::ostream& os, std::uint64_t offset);
+// The finished section: `body` followed by its checksum.
+std::vector<std::uint8_t> seal_section(const std::string& body);
+// "" when [data, data+size) has `envelope`'s prefix and checksum, else the
+// stale reason.
+std::string check_section_envelope(const std::uint8_t* data,
+                                   std::uint64_t size,
+                                   const SectionEnvelope& envelope);
 
 // Checksum over a plan section's bytes (FNV-1a over 8-byte words, length
 // bound). Exposed so hardening tests can re-seal deliberately hostile

@@ -138,8 +138,9 @@ struct ServingReport {
   // zero when the drain carried none). scanned_rows counts catalog items
   // actually scored; catalog_rows counts what an exact scan would have
   // scored (ranked rows x catalog size); scanned_bytes is the analytic
-  // compressed payload read (probed columns + centroid table on the pruned
-  // path, the full weight/bias blobs per row on the exact path).
+  // compressed payload read (probed rows + their bias entries + centroid
+  // table on the pruned path, the full weight/bias blobs per row on the
+  // exact path).
   // pruned_fraction = 1 - scanned_rows / catalog_rows (0 when every ranked
   // row scanned exact).
   std::uint64_t catalog_rows = 0;

@@ -64,26 +64,34 @@ std::vector<ScoredId> topk_select(const float* scores, Index n, Index k);
 // Full-sort reference (O(n log n)); topk_select must match it exactly.
 std::vector<ScoredId> topk_full_sort(const float* scores, Index n, Index k);
 
-// Codec view of a heap-owned QuantizedTensor (pre-splits the i4g scales
-// header exactly like CompiledModel::resolve does for mmap'd tensors). The
-// tensor must outlive the returned view.
+// Codec view of a heap-owned QuantizedTensor (the same i4g scales/nibbles
+// split make_span_src does for mmap'd tensors). The tensor must outlive
+// the returned view.
 SpanSrc make_span_src(const QuantizedTensor& q);
 
 // Scores a float query vector against every row of an item-major
 // [items, dim] catalog kept in compressed form. Rows are streamed through
-// the selected family's dot_span — bit-identical scalar vs AVX2 — and
-// top_k() feeds them straight into the bounded heap, so neither the
-// catalog nor the score vector is ever materialized.
+// the selected family's dot_rows/dot_span — bit-identical scalar vs AVX2 —
+// so the catalog is never materialized as f32; top_k() selects from the
+// scores exactly as the serving exact scan does.
+// A CompiledModel's output layer is one of these (with its bias), so exact
+// logits, exact top-k and the pruned scan all go through score().
 class CatalogScorer {
  public:
+  CatalogScorer() = default;
   // Borrows `catalog`; it must outlive the scorer.
   CatalogScorer(const QuantizedTensor& catalog, const KernelSet& kernels);
-  // Zero-copy view form (e.g. over a CompiledModel output table).
+  // Zero-copy view form (e.g. a CompiledModel output table). A non-null
+  // `bias` ([items], borrowed) is added to every row's dot.
   CatalogScorer(const SpanSrc& src, Index items, Index dim,
-                std::size_t resident_bytes, const KernelSet& kernels);
+                std::size_t resident_bytes, const KernelSet& kernels,
+                const float* bias = nullptr);
 
   Index items() const { return items_; }
   Index dim() const { return dim_; }
+  // Query lanes an index over this catalog expects: a biased catalog's
+  // index folds the bias in as a trailing 1.0 lane the scorer never reads.
+  Index query_dim() const { return bias_ != nullptr ? dim_ + 1 : dim_; }
   // Compressed bytes the scan touches — the catalog's entire stored
   // payload (every row is read once per query). This is the "catalog
   // residency" column of the session bench.
@@ -93,9 +101,14 @@ class CatalogScorer {
   const SpanSrc& src() const { return src_; }
   const KernelSet& kernels() const { return *kernels_; }
 
-  // out[i] = <row i, query> for all items.
+  // <row i, query> (+ bias[i]).
+  float score(Index i, const float* query) const {
+    const float dot = kernels_->dot_span(src_, i * dim_, dim_, query);
+    return bias_ != nullptr ? dot + bias_[i] : dot;
+  }
+  // out[i] = score(i, query) for all items.
   void score_all(const float* query, float* out) const;
-  // Best k ids without materializing the score vector.
+  // Best k ids: score_all + topk_select.
   std::vector<ScoredId> top_k(const float* query, Index k) const;
 
  private:
@@ -104,6 +117,7 @@ class CatalogScorer {
   Index dim_ = 0;
   std::size_t resident_bytes_ = 0;
   const KernelSet* kernels_ = nullptr;
+  const float* bias_ = nullptr;
 };
 
 }  // namespace memcom

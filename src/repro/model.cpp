@@ -159,8 +159,10 @@ void RecModel::export_mcm(const std::string& path, DType dtype,
   if (dense1_ != nullptr) {
     writer.set_metadata_int("hidden_dim", dense1_->out_features());
   }
+  writer.set_metadata(kOutputLayoutKey, kOutputLayoutItemMajor);
   for (const auto& [name, tensor] : named_tensors()) {
-    writer.add_tensor(name, *tensor, dtype, group_size);
+    writer.add_tensor(name, name == "out.weight" ? transpose(*tensor) : *tensor,
+                      dtype, group_size);
   }
   writer.finish();
 }
@@ -172,8 +174,11 @@ void RecModel::load_mcm(const std::string& path) {
         "load_mcm: technique mismatch");
   check_eq(config_.output_vocab, mapped.metadata_int("output_dim"),
            "load_mcm output vocab");
+  check_output_layout(mapped);
   for (const auto& [name, tensor] : named_tensors()) {
-    Tensor loaded = mapped.load_tensor(name);
+    Tensor loaded = name == "out.weight"
+                        ? transpose(mapped.load_tensor(name))
+                        : mapped.load_tensor(name);
     check(loaded.shape() == tensor->shape(),
           "load_mcm: shape mismatch for " + name);
     *tensor = std::move(loaded);

@@ -56,6 +56,9 @@ class RecModel {
 
   // Serializes to the on-device .mcm format, quantizing every tensor to
   // `dtype`. The tensor names match what ondevice::InferenceEngine expects.
+  // The output head `out.weight` is written item-major, [items, in] — the
+  // transpose of the training parameter — and the file is stamped
+  // output_layout = item_major (see ondevice/format.h).
   // A non-empty `model_name` stamps deployment identity metadata
   // (ModelWriter::set_model_identity) with `model_version`, which the
   // serving-side ModelRegistry enforces to be monotonically increasing
@@ -63,7 +66,7 @@ class RecModel {
   // `group_size` only matters when `dtype` is kI4G (0 = kI4GroupDefault).
   // `emit_plan` appends the ahead-of-time compiled plan section (container
   // v3, see ondevice/plan.h) so fleet cold start is adopt instead of
-  // compile; plan-less exports stay v1/v2 byte-identical. `emit_index`
+  // compile; plan-less exports stay container v1/v2. `emit_index`
   // appends the clustered catalog-index section (container v4, see
   // ondevice/catalog_index.h) enabling the pruned top-k scan;
   // `index_clusters` == 0 picks the ~sqrt(items) default.
@@ -73,8 +76,10 @@ class RecModel {
                   bool emit_plan = false, bool emit_index = false,
                   Index index_clusters = 0);
 
-  // Loads (dequantized) weights back from an exported .mcm file. The model
-  // must have been constructed with the same ModelConfig. Used by the A.2
+  // Loads (dequantized) weights back from an exported .mcm file, undoing
+  // the item-major `out.weight` transpose; a file without the
+  // output_layout stamp is refused. The model must have been constructed
+  // with the same ModelConfig. Used by the A.2
   // quantization study to evaluate a quantized model through the normal
   // evaluation path, and usable as a checkpoint mechanism.
   void load_mcm(const std::string& path);

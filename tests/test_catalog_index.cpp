@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -85,6 +86,23 @@ std::vector<float> random_query(Index dim, std::uint64_t seed) {
   return q;
 }
 
+// Compiles `path` with the scalar reference family (MEMCOM_DISABLE_SIMD=1
+// at compile time) or the dispatched one, restoring the caller's setting.
+std::shared_ptr<const CompiledModel> compile_with_family(
+    const std::string& path, bool scalar) {
+  const char* prior = std::getenv("MEMCOM_DISABLE_SIMD");
+  const std::string saved = prior != nullptr ? prior : "";
+  ::setenv("MEMCOM_DISABLE_SIMD", scalar ? "1" : "0", 1);
+  auto compiled = std::make_shared<const CompiledModel>(
+      std::make_shared<const MmapModel>(path));
+  if (prior != nullptr) {
+    ::setenv("MEMCOM_DISABLE_SIMD", saved.c_str(), 1);
+  } else {
+    ::unsetenv("MEMCOM_DISABLE_SIMD");
+  }
+  return compiled;
+}
+
 class CatalogIndexFileTest : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -96,14 +114,15 @@ class CatalogIndexFileTest : public ::testing::Test {
   std::string export_model(const std::string& tag, bool emit_index,
                            Index clusters = 0, DType dtype = DType::kI8,
                            bool emit_plan = false,
-                           TechniqueKind kind = TechniqueKind::kMemcom) {
+                           TechniqueKind kind = TechniqueKind::kMemcom,
+                           Index items = 48, Index embed_dim = 16) {
     ModelConfig config;
     config.embedding.kind = kind;
     config.embedding.vocab = 150;
-    config.embedding.embed_dim = 16;
+    config.embedding.embed_dim = embed_dim;
     config.embedding.knob = 24;
     config.arch = ModelArch::kClassification;
-    config.output_vocab = 48;
+    config.output_vocab = items;
     config.seed = 4711;
     RecModel model(config);
     auto p = std::filesystem::temp_directory_path() /
@@ -256,32 +275,90 @@ TEST(CatalogIndexBuild, ClusterCountClampedToItems) {
 
 class PrunedScanExactness : public ::testing::TestWithParam<DType> {};
 
+// A compressed catalog in either shape CatalogScorer serves: a bare
+// item-major table, or a model output layer with a bias attached — whose
+// index folds the bias in as the last lane, so queries carry a trailing
+// 1.0 (exactly how ExecutionContext probes the plan's output scorer).
+struct TestCatalog {
+  QuantizedTensor table;
+  std::vector<float> bias;  // empty for the bare table
+  CatalogIndex index;
+
+  TestCatalog(const Tensor& rows, DType dtype, bool with_bias,
+              Index clusters) : table(quantize(rows, dtype)) {
+    CatalogIndexConfig config;
+    config.clusters = clusters;
+    const Index items = rows.dim(0), dim = rows.dim(1);
+    if (!with_bias) {
+      index = build_catalog_index(table, config);
+      return;
+    }
+    Rng rng(static_cast<std::uint64_t>(items * 31 + dim));
+    std::vector<float> folded = dequantize_catalog_rows(
+        make_span_src(table), items, dim);
+    std::vector<float> lanes(static_cast<std::size_t>(items * (dim + 1)));
+    for (Index j = 0; j < items; ++j) {
+      bias.push_back(rng.uniform(-0.5f, 0.5f));
+      std::copy(folded.begin() + j * dim, folded.begin() + (j + 1) * dim,
+                lanes.begin() + j * (dim + 1));
+      lanes[static_cast<std::size_t>(j * (dim + 1) + dim)] = bias.back();
+    }
+    index = build_catalog_index(lanes.data(), items, dim + 1, config);
+  }
+
+  CatalogScorer scorer(const KernelSet& kernels) const {
+    return CatalogScorer(make_span_src(table), table.shape[0], table.shape[1],
+                         table.payload.size(), kernels,
+                         bias.empty() ? nullptr : bias.data());
+  }
+  std::vector<float> query(std::uint64_t seed) const {
+    std::vector<float> q = random_query(table.shape[1], seed);
+    if (!bias.empty()) {
+      q.push_back(1.0f);
+    }
+    return q;
+  }
+};
+
 // nprobe == num_clusters offers every item to the same bounded heap with
-// the identical dot_span score — the result must be BIT-IDENTICAL to the
-// exact scorer, for every dtype and both kernel families.
+// the identical CatalogScorer::score — the result must be BIT-IDENTICAL to
+// the exact scorer, for every dtype, both kernel families, and with or
+// without the output layer's bias; the two families agree bit for bit too.
 TEST_P(PrunedScanExactness, FullProbeBitIdenticalToExactScan) {
   const DType dtype = GetParam();
   const Index items = 120, dim = 16, k = 10;
   const Tensor rows = synthetic_catalog(items, dim, 77);
-  const QuantizedTensor catalog = quantize(rows, dtype);
-  CatalogIndexConfig config;
-  config.clusters = 11;
-  const CatalogIndex index = build_catalog_index(catalog, config);
-  for (const bool scalar : {true, false}) {
-    const KernelSet& kernels = scalar ? scalar_kernels() : select_kernels();
-    CatalogScorer exact(catalog, kernels);
-    PrunedCatalogScorer pruned(exact, index);
-    for (std::uint64_t q = 0; q < 6; ++q) {
-      const std::vector<float> query = random_query(dim, 100 + q);
-      const std::vector<ScoredId> want = exact.top_k(query.data(), k);
-      const std::vector<ScoredId> got =
-          pruned.top_k(query.data(), k, index.clusters);
-      ASSERT_EQ(got.size(), want.size()) << kernels.name << " q" << q;
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].id, want[i].id)
-            << kernels.name << " q" << q << " pos " << i;
-        EXPECT_EQ(got[i].score, want[i].score)
-            << kernels.name << " q" << q << " pos " << i;
+  for (const bool with_bias : {false, true}) {
+    const TestCatalog catalog(rows, dtype, with_bias, 11);
+    std::vector<std::vector<ScoredId>> scalar_rankings;
+    for (const bool scalar : {true, false}) {
+      const KernelSet& kernels = scalar ? scalar_kernels() : select_kernels();
+      const std::string tag = std::string(kernels.name) +
+                              (with_bias ? " biased" : " bare");
+      const CatalogScorer exact = catalog.scorer(kernels);
+      PrunedCatalogScorer pruned(exact, catalog.index);
+      for (std::uint64_t q = 0; q < 6; ++q) {
+        const std::vector<float> query = catalog.query(100 + q);
+        const std::vector<ScoredId> want = exact.top_k(query.data(), k);
+        const std::vector<ScoredId> got =
+            pruned.top_k(query.data(), k, catalog.index.clusters);
+        ASSERT_EQ(got.size(), want.size()) << tag << " q" << q;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].id, want[i].id) << tag << " q" << q << " pos " << i;
+          EXPECT_EQ(got[i].score, want[i].score)
+              << tag << " q" << q << " pos " << i;
+        }
+        if (scalar) {
+          scalar_rankings.push_back(want);
+          continue;
+        }
+        const std::vector<ScoredId>& ref =
+            scalar_rankings[static_cast<std::size_t>(q)];
+        ASSERT_EQ(ref.size(), want.size()) << tag << " q" << q;
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          EXPECT_EQ(ref[i].id, want[i].id) << tag << " scalar q" << q;
+          EXPECT_EQ(ref[i].score, want[i].score) << tag << " scalar q" << q;
+        }
       }
     }
   }
@@ -294,27 +371,31 @@ TEST_P(PrunedScanExactness, PartialProbeScoresAreExactScores) {
   const DType dtype = GetParam();
   const Index items = 120, dim = 16, k = 10;
   const Tensor rows = synthetic_catalog(items, dim, 78);
-  const QuantizedTensor catalog = quantize(rows, dtype);
-  CatalogIndexConfig config;
-  config.clusters = 11;
-  const CatalogIndex index = build_catalog_index(catalog, config);
-  const KernelSet& kernels = select_kernels();
-  CatalogScorer exact(catalog, kernels);
-  PrunedCatalogScorer pruned(exact, index);
   std::vector<float> all_scores(static_cast<std::size_t>(items));
-  for (std::uint64_t q = 0; q < 4; ++q) {
-    const std::vector<float> query = random_query(dim, 500 + q);
-    exact.score_all(query.data(), all_scores.data());
-    for (const Index nprobe : {1, 3, 6}) {
-      const std::vector<ScoredId> got = pruned.top_k(query.data(), k, nprobe);
-      EXPECT_LE(got.size(), static_cast<std::size_t>(k));
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].score,
-                  all_scores[static_cast<std::size_t>(got[i].id)])
-            << "nprobe " << nprobe << " pos " << i;
-        if (i > 0) {
-          EXPECT_TRUE(topk_better(got[i - 1], got[i]))
-              << "nprobe " << nprobe << " pos " << i;
+  for (const bool with_bias : {false, true}) {
+    const TestCatalog catalog(rows, dtype, with_bias, 11);
+    for (const bool scalar : {true, false}) {
+      const KernelSet& kernels = scalar ? scalar_kernels() : select_kernels();
+      const std::string tag = std::string(kernels.name) +
+                              (with_bias ? " biased" : " bare");
+      const CatalogScorer exact = catalog.scorer(kernels);
+      PrunedCatalogScorer pruned(exact, catalog.index);
+      for (std::uint64_t q = 0; q < 4; ++q) {
+        const std::vector<float> query = catalog.query(500 + q);
+        exact.score_all(query.data(), all_scores.data());
+        for (const Index nprobe : {1, 3, 6}) {
+          const std::vector<ScoredId> got =
+              pruned.top_k(query.data(), k, nprobe);
+          EXPECT_LE(got.size(), static_cast<std::size_t>(k));
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].score,
+                      all_scores[static_cast<std::size_t>(got[i].id)])
+                << tag << " nprobe " << nprobe << " pos " << i;
+            if (i > 0) {
+              EXPECT_TRUE(topk_better(got[i - 1], got[i]))
+                  << tag << " nprobe " << nprobe << " pos " << i;
+            }
+          }
         }
       }
     }
@@ -352,6 +433,50 @@ TEST_P(PrunedScanExactness, ScanStatsAccountProbedClusters) {
   pruned.top_k(query.data(), 10, 999, &clamped);
   EXPECT_EQ(clamped.probed_clusters, index.clusters);
   EXPECT_EQ(clamped.scanned_rows, items);
+}
+
+// scanned_bytes is derived from row counts wherever every row spans the
+// same stored bytes; the derivation must equal the per-row sum it replaces
+// for every dtype, including the layouts where rows differ (odd-width i4,
+// i4g rows that straddle scale groups) and the per-row path is kept.
+TEST(PrunedScanAccounting, DerivedScanBytesEqualPerRowSum) {
+  const Index items = 90;
+  for (const DType dtype :
+       {DType::kF32, DType::kF16, DType::kI8, DType::kI4, DType::kI4G}) {
+    for (const Index dim : {15, 16, 48, 64}) {
+      const std::string tag =
+          std::string(dtype_name(dtype)) + " dim " + std::to_string(dim);
+      const Tensor rows = synthetic_catalog(items, dim, 80 + dim);
+      const QuantizedTensor catalog = quantize(rows, dtype);
+      CatalogIndexConfig config;
+      config.clusters = 7;
+      const CatalogIndex index = build_catalog_index(catalog, config);
+      const CatalogScorer exact(catalog, select_kernels());
+      const PrunedCatalogScorer pruned(exact, index);
+      std::uint64_t per_row = 0;
+      for (Index j = 0; j < items; ++j) {
+        per_row += span_scan_bytes(exact.src(), j * dim, dim);
+      }
+      const std::vector<float> query = random_query(dim, 7);
+      ScanStats full;
+      pruned.top_k(query.data(), 5, index.clusters, &full);
+      EXPECT_EQ(full.scanned_bytes, index.centroid_bytes() + per_row) << tag;
+      // A partial probe: the same equality over the probed rows only.
+      const std::vector<ScoredId> probed = pruned.probe(query.data(), 2);
+      std::uint64_t probed_rows = 0;
+      for (const ScoredId& c : probed) {
+        for (std::uint32_t pos = index.offsets[static_cast<std::size_t>(c.id)];
+             pos < index.offsets[static_cast<std::size_t>(c.id) + 1]; ++pos) {
+          probed_rows += span_scan_bytes(
+              exact.src(), static_cast<Index>(index.perm[pos]) * dim, dim);
+        }
+      }
+      ScanStats part;
+      pruned.score_probed(query.data(), 5, probed, &part);
+      EXPECT_EQ(part.scanned_bytes, index.centroid_bytes() + probed_rows)
+          << tag;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDtypes, PrunedScanExactness,
@@ -421,42 +546,103 @@ TEST_F(CatalogIndexFileTest, PlanAndIndexSectionsCoexist) {
   EXPECT_TRUE(compiled->has_catalog_index());
 }
 
-// Serving-level anchor: run_batch with every cluster probed is bit-identical
-// to the exact ranked batch — ids AND scores — and the scan counters agree.
+// Serving-level anchor, through the plan's one output scorer: run_batch
+// with every cluster probed is bit-identical to the exact ranked batch —
+// ids AND scores — and a partial probe's scores are the exact logits of
+// the ids it returns, for all three dtypes and both kernel families; the
+// scalar and dispatched compiles rank identically.
 TEST_F(CatalogIndexFileTest, ServingFullProbeBitIdenticalToExact) {
+  const std::vector<std::vector<std::int32_t>> histories = {
+      {1, 2, 3}, {}, {7, 7, 7, 7}, {42}};
   for (const DType dtype : {DType::kF32, DType::kI8, DType::kI4G}) {
     const std::string path = export_model(
         std::string("serve_") + dtype_name(dtype), true, 6, dtype);
-    auto compiled = std::make_shared<const CompiledModel>(
-        std::make_shared<const MmapModel>(path));
-    ASSERT_TRUE(compiled->has_catalog_index())
-        << compiled->index_fallback_reason();
-    ExecutionContext context(compiled, tflite_profile());
-    const std::vector<std::vector<std::int32_t>> histories = {
-        {1, 2, 3}, {}, {7, 7, 7, 7}, {42}};
-    std::vector<std::vector<ScoredId>> exact_topk, pruned_topk;
-    const BatchResult exact = context.run_batch(histories, 8, &exact_topk);
-    const std::vector<Index> nprobes(histories.size(),
-                                     compiled->catalog_index().clusters);
-    const BatchResult pruned =
-        context.run_batch(histories, 8, &pruned_topk, &nprobes);
-    ASSERT_EQ(exact_topk.size(), pruned_topk.size());
-    for (std::size_t b = 0; b < exact_topk.size(); ++b) {
-      ASSERT_EQ(exact_topk[b].size(), pruned_topk[b].size()) << b;
-      for (std::size_t i = 0; i < exact_topk[b].size(); ++i) {
-        EXPECT_EQ(exact_topk[b][i].id, pruned_topk[b][i].id)
-            << dtype_name(dtype) << " row " << b << " pos " << i;
-        EXPECT_EQ(exact_topk[b][i].score, pruned_topk[b][i].score)
-            << dtype_name(dtype) << " row " << b << " pos " << i;
+    std::vector<std::vector<ScoredId>> scalar_topk;
+    for (const bool scalar : {true, false}) {
+      auto compiled = compile_with_family(path, scalar);
+      ASSERT_TRUE(compiled->has_catalog_index())
+          << compiled->index_fallback_reason();
+      const std::string tag =
+          std::string(dtype_name(dtype)) + "/" + compiled->kernel_name();
+      ExecutionContext context(compiled, tflite_profile());
+      std::vector<std::vector<ScoredId>> exact_topk, pruned_topk;
+      const BatchResult exact = context.run_batch(histories, 8, &exact_topk);
+      const std::vector<Index> nprobes(histories.size(),
+                                       compiled->catalog_index().clusters);
+      const BatchResult pruned =
+          context.run_batch(histories, 8, &pruned_topk, &nprobes);
+      ASSERT_EQ(exact_topk.size(), pruned_topk.size());
+      for (std::size_t b = 0; b < exact_topk.size(); ++b) {
+        ASSERT_EQ(exact_topk[b].size(), pruned_topk[b].size()) << b;
+        for (std::size_t i = 0; i < exact_topk[b].size(); ++i) {
+          EXPECT_EQ(exact_topk[b][i].id, pruned_topk[b][i].id)
+              << tag << " row " << b << " pos " << i;
+          EXPECT_EQ(exact_topk[b][i].score, pruned_topk[b][i].score)
+              << tag << " row " << b << " pos " << i;
+        }
+      }
+      // Full probe scans every row; the analytic byte accounting differs
+      // from the exact blob accounting only by the centroid-table overhead.
+      EXPECT_EQ(pruned.scanned_rows, pruned.catalog_rows);
+      EXPECT_EQ(pruned.ranked_rows, static_cast<std::uint64_t>(4));
+      EXPECT_GT(pruned.scanned_bytes, 0u);
+      EXPECT_EQ(exact.scanned_rows, exact.catalog_rows);
+
+      // Partial probes: every returned score is that id's exact logit.
+      for (const Index nprobe : {1, 2}) {
+        const std::vector<Index> partial(histories.size(), nprobe);
+        std::vector<std::vector<ScoredId>> partial_topk;
+        context.run_batch(histories, 8, &partial_topk, &partial);
+        for (std::size_t b = 0; b < partial_topk.size(); ++b) {
+          for (const ScoredId& hit : partial_topk[b]) {
+            EXPECT_EQ(hit.score,
+                      exact.logits.at2(static_cast<Index>(b), hit.id))
+                << tag << " nprobe " << nprobe << " row " << b;
+          }
+        }
+      }
+
+      if (scalar) {
+        scalar_topk = exact_topk;
+        continue;
+      }
+      for (std::size_t b = 0; b < exact_topk.size(); ++b) {
+        ASSERT_EQ(scalar_topk[b].size(), exact_topk[b].size()) << tag;
+        for (std::size_t i = 0; i < exact_topk[b].size(); ++i) {
+          EXPECT_EQ(scalar_topk[b][i].id, exact_topk[b][i].id) << tag;
+          EXPECT_EQ(scalar_topk[b][i].score, exact_topk[b][i].score) << tag;
+        }
       }
     }
-    // Full probe scans every row; the analytic byte accounting differs
-    // from the exact blob accounting only by the centroid-table overhead.
-    EXPECT_EQ(pruned.scanned_rows, pruned.catalog_rows);
-    EXPECT_EQ(pruned.ranked_rows, static_cast<std::uint64_t>(4));
-    EXPECT_GT(pruned.scanned_bytes, 0u);
-    EXPECT_EQ(exact.scanned_rows, exact.catalog_rows);
   }
+}
+
+// The pruned scan meters only the out.weight rows and out.bias entries it
+// reads: on a fresh context one request probing a single cell touches
+// fewer weight pages than one exact request, and probing every cell
+// touches exactly the exact scan's pages.
+TEST_F(CatalogIndexFileTest, PrunedScanMetersOnlyTheRowsItReads) {
+  // 1200 items of 32 f32 lanes (128 B rows, 32 per 4 KiB page) in 120
+  // cells: one cell is ~10 rows, a few pages of a ~38-page catalog.
+  const std::string path = export_model("meter", true, 120, DType::kF32,
+                                        false, TechniqueKind::kMemcom,
+                                        /*items=*/1200, /*embed_dim=*/64);
+  auto compiled = std::make_shared<const CompiledModel>(
+      std::make_shared<const MmapModel>(path));
+  ASSERT_TRUE(compiled->has_catalog_index());
+  const Index clusters = compiled->catalog_index().clusters;
+  ASSERT_EQ(clusters, 120);
+  const std::vector<std::vector<std::int32_t>> request = {{3, 17, 42}};
+  auto pages_for = [&](Index nprobe) {
+    ExecutionContext context(compiled, tflite_profile());
+    std::vector<std::vector<ScoredId>> topk;
+    const std::vector<Index> nprobes = {nprobe};
+    context.run_batch(request, 10, &topk, nprobe > 0 ? &nprobes : nullptr);
+    return context.meter().touched_pages();
+  };
+  const Index exact = pages_for(0);
+  EXPECT_LT(pages_for(1), exact);
+  EXPECT_EQ(pages_for(clusters), exact);
 }
 
 // A genuinely pruned serving drain: fewer rows scanned, counters consistent.

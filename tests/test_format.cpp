@@ -8,10 +8,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <set>
 
+#include "core/rng.h"
 #include "core/serialize.h"
 #include "ondevice/engine.h"
 #include "ondevice/memory_meter.h"
+#include "ondevice/registry.h"
 
 namespace memcom {
 namespace {
@@ -166,22 +170,50 @@ TEST_F(FormatTest, UngroupedFilesStayVersion1) {
 namespace {
 // A minimal model build_plan() can compile: ranking trunk, uncompressed
 // embedding — enough for ModelWriter::set_emit_plan to stage a v3 file.
-void add_plannable_model(ModelWriter& writer) {
+// `stamp_layout` = false leaves out the item-major output-layout metadata.
+void add_plannable_model(ModelWriter& writer, bool stamp_layout = true) {
   writer.set_metadata("arch", "ranking");
   writer.set_metadata("technique", "uncompressed");
   writer.set_metadata_int("vocab", 16);
   writer.set_metadata_int("embed_dim", 4);
   writer.set_metadata_int("knob", 0);
   writer.set_metadata_int("output_dim", 2);
+  if (stamp_layout) {
+    writer.set_metadata(kOutputLayoutKey, kOutputLayoutItemMajor);
+  }
   writer.add_tensor("emb.table", Tensor::full({16, 4}, 0.5f));
   writer.add_tensor("bn1.gamma", Tensor::full({4}, 1.0f));
   writer.add_tensor("bn1.beta", Tensor::full({4}, 0.0f));
   writer.add_tensor("bn1.mean", Tensor::full({4}, 0.0f));
   writer.add_tensor("bn1.var", Tensor::full({4}, 1.0f));
-  writer.add_tensor("out.weight", Tensor::full({4, 2}, 0.25f));
+  writer.add_tensor("out.weight", Tensor::full({2, 4}, 0.25f));  // [items, in]
   writer.add_tensor("out.bias", Tensor::full({2}, 0.0f));
 }
 }  // namespace
+
+// A file that does not declare the item-major output layout predates it:
+// every loader refuses it with a re-export message instead of scoring a
+// transposed catalog.
+TEST_F(FormatTest, OutputWithoutLayoutStampRefusedAtLoad) {
+  const std::string path = temp_path();
+  ModelWriter writer(path);
+  add_plannable_model(writer, /*stamp_layout=*/false);
+  writer.finish();
+  const MmapModel model(path);
+  EXPECT_FALSE(model.has_metadata(kOutputLayoutKey));
+  auto expect_refused = [](const std::function<void()>& load) {
+    try {
+      load();
+      ADD_FAILURE() << "load accepted a file without output_layout";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("re-export"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused([&] { InferenceEngine engine(model, tflite_profile()); });
+  expect_refused([&] { ModelRegistry().load("m", path); });
+  expect_refused([&] { build_catalog_index_for_model(model); });
+}
 
 TEST_F(FormatTest, EmitPlanBumpsFormatToV3) {
   const std::string path = temp_path();
@@ -546,6 +578,7 @@ void write_model_with_technique(const std::string& path,
   writer.set_metadata_int("embed_dim", 4);
   writer.set_metadata_int("knob", 4);
   writer.set_metadata_int("output_dim", 2);
+  writer.set_metadata(kOutputLayoutKey, kOutputLayoutItemMajor);
   writer.add_tensor("emb.table", Tensor({16, 4}));
   writer.finish();
 }
@@ -595,6 +628,50 @@ TEST(MemoryMeterUnit, ZeroLengthTouchIgnored) {
   MemoryMeter meter(4096);
   meter.touch(100, 0);
   EXPECT_EQ(meter.touched_pages(), 0);
+}
+
+// A seeded touch sequence — overlapping ranges, page-straddling spans,
+// repeats, far jumps and a mid-sequence reset — against the page-set model
+// the meter implements: every touch of [offset, offset+length) makes pages
+// first..last+readahead resident. Pins touched_pages() and
+// weight_resident_bytes() after every step, for several readahead depths.
+TEST(MemoryMeterUnit, SeededTouchSequenceMatchesPageSetModel) {
+  const Index page = 4096;
+  for (const Index readahead : {0, 1, 3}) {
+    MemoryMeter meter(page, readahead);
+    std::set<Index> model;
+    Rng rng(0x5EED0000ULL + static_cast<std::uint64_t>(readahead));
+    for (int step = 0; step < 2000; ++step) {
+      if (step == 1000) {
+        meter.reset();
+        model.clear();
+        ASSERT_EQ(meter.touched_pages(), 0);
+        ASSERT_EQ(meter.weight_resident_bytes(), 0);
+      }
+      // Mostly short row-sized reads near the front of a ~2 MiB file, some
+      // long streaming reads, and rare far jumps that grow the bitmap.
+      const Index span = rng.uniform_index(10) == 0
+                             ? 1 + rng.uniform_index(40 * page)
+                             : 1 + rng.uniform_index(600);
+      const Index offset = rng.uniform_index(50) == 0
+                               ? rng.uniform_index(2000 * page)
+                               : rng.uniform_index(512 * page);
+      const Index length = rng.uniform_index(30) == 0 ? 0 : span;
+      meter.touch(offset, length);
+      if (length > 0) {
+        const Index last = (offset + length - 1) / page + readahead;
+        for (Index p = offset / page; p <= last; ++p) {
+          model.insert(p);
+        }
+      }
+      ASSERT_EQ(meter.touched_pages(), static_cast<Index>(model.size()))
+          << "readahead " << readahead << " step " << step;
+      ASSERT_EQ(meter.weight_resident_bytes(),
+                static_cast<Index>(model.size()) * page)
+          << "readahead " << readahead << " step " << step;
+    }
+    EXPECT_GT(meter.touched_pages(), 100) << readahead;
+  }
 }
 
 TEST(MemoryMeterUnit, DistinctPagesForLookupVsStream) {

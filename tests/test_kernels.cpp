@@ -139,6 +139,7 @@ TEST(KernelDispatch, ScalarSetIsComplete) {
   EXPECT_NE(k.axpy, nullptr);
   EXPECT_NE(k.dot, nullptr);
   EXPECT_NE(k.dot_span, nullptr);
+  EXPECT_NE(k.dot_rows, nullptr);
 }
 
 // --- dispatched accumulate kernels: bit-identical to scalar ----------------
@@ -336,6 +337,48 @@ TEST(KernelBitIdentity, DotSpanCrossesChunkBoundaryBitExactly) {
       const float plain = ref.dot(dq.data(), vec.data(), count);
       EXPECT_TRUE(bits_equal(&rs, &plain, 1))
           << dtype_name(dtype) << " offset=" << offset;
+    }
+  }
+}
+
+// dot_rows scores a block of item-major rows in one call: every row must be
+// bit-identical to its own dot_span, in both families, for every dtype,
+// for row widths on and off the 8-lane grid and past the stream chunk, for
+// blocks that do not fill whole row groups, and from odd first rows (i4
+// rows that start mid-byte).
+TEST(KernelBitIdentity, DotRowsMatchesPerRowDotSpan) {
+  ScopedEnv disable("MEMCOM_DISABLE_SIMD", nullptr);
+  const KernelSet& simd = select_kernels();
+  const KernelSet& ref = scalar_kernels();
+  Rng rng(607);
+  struct Case {
+    DType dtype;
+    Index group_size;
+  };
+  for (const Index dim : {Index{8}, Index{9}, Index{64}, Index{100},
+                          Index{264}}) {
+    const Index items = 23;
+    const Tensor t = Tensor::randn({items, dim}, rng, 0.3f);
+    const std::vector<float> vec = random_vec(dim, rng);
+    for (const Case c : {Case{DType::kF32, 0}, Case{DType::kF16, 0},
+                         Case{DType::kI8, 0}, Case{DType::kI4, 0},
+                         Case{DType::kI4G, 8}, Case{DType::kI4G, 32}}) {
+      const QuantizedTensor q = quantize(t, c.dtype, c.group_size);
+      const SpanSrc src = make_src(q);
+      for (const KernelSet* k : {&ref, &simd}) {
+        for (const Index first : {Index{0}, Index{3}}) {
+          const Index rows = items - first;
+          std::vector<float> got(static_cast<std::size_t>(rows));
+          k->dot_rows(src, first, rows, dim, vec.data(), got.data());
+          for (Index r = 0; r < rows; ++r) {
+            const float want =
+                ref.dot_span(src, (first + r) * dim, dim, vec.data());
+            EXPECT_TRUE(bits_equal(&got[static_cast<std::size_t>(r)], &want, 1))
+                << k->name << " " << dtype_name(c.dtype) << "/"
+                << c.group_size << " dim=" << dim << " row=" << first + r;
+          }
+        }
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "test_util.h"
@@ -335,6 +336,39 @@ TEST_F(McmBenchTest, ColdStartWithModelsModeFailsCleanly) {
   const ToolResult result = run_tool("--models a.mcm,b.mcm --cold-start 3");
   EXPECT_EQ(result.exit_code, 2);
   EXPECT_NE(result.output.find("--cold-start"), std::string::npos);
+}
+
+// Unreadable inputs — a missing path, junk bytes, a valid export cut
+// short — print the reason and exit 2; none may escape as an uncaught
+// exception.
+TEST_F(McmBenchTest, UnreadableFilesExitTwoWithReason) {
+  const std::string args = " --runs 5 --threads 1 --requests 4 --repeat 1";
+  const ToolResult absent = run_tool("\"" + path_ + ".absent\"" + args);
+  EXPECT_EQ(absent.exit_code, 2) << absent.output;
+  EXPECT_NE(absent.output.find("mcm_bench: "), std::string::npos)
+      << absent.output;
+
+  {
+    std::ofstream junk(path_, std::ios::binary | std::ios::trunc);
+    junk << "this is not an mcm file, just some junk bytes\n";
+  }
+  const ToolResult garbage = run_tool("\"" + path_ + "\"" + args);
+  EXPECT_EQ(garbage.exit_code, 2) << garbage.output;
+  EXPECT_NE(garbage.output.find("mcm_bench: "), std::string::npos)
+      << garbage.output;
+
+  ModelConfig config;
+  config.embedding = {TechniqueKind::kMemcom, 300, 16, 32};
+  config.arch = ModelArch::kClassification;
+  config.output_vocab = 24;
+  config.seed = 7;
+  RecModel(config).export_mcm(path_);
+  std::filesystem::resize_file(path_,
+                               std::filesystem::file_size(path_) / 2);
+  const ToolResult truncated = run_tool("\"" + path_ + "\"" + args);
+  EXPECT_EQ(truncated.exit_code, 2) << truncated.output;
+  EXPECT_NE(truncated.output.find("mcm_bench: "), std::string::npos)
+      << truncated.output;
 }
 
 TEST_F(McmBenchTest, MissingArgumentFailsWithUsage) {

@@ -140,8 +140,10 @@ TEST_F(McmInspectTest, StatsFlagPrintsDequantizedStatistics) {
 TEST_F(McmInspectTest, SummarizesOutputCatalogDims) {
   ModelWriter writer(path_);
   writer.set_metadata("technique", "memcom");
-  // Dense head layout is [in, items]: 16-dim item vectors, 24-item catalog.
-  writer.add_tensor("out.weight", Tensor::randn({16, 24}, rng_), DType::kI8);
+  // Item-major head layout [items, in]: a 24-item catalog of 16-dim
+  // item vectors.
+  writer.set_metadata(kOutputLayoutKey, kOutputLayoutItemMajor);
+  writer.add_tensor("out.weight", Tensor::randn({24, 16}, rng_), DType::kI8);
   writer.add_tensor("out.bias", Tensor::full({24}, 0.0f));
   writer.finish();
 
@@ -178,12 +180,13 @@ void add_plannable_model(ModelWriter& writer) {
   writer.set_metadata_int("embed_dim", 4);
   writer.set_metadata_int("knob", 0);
   writer.set_metadata_int("output_dim", 2);
+  writer.set_metadata(kOutputLayoutKey, kOutputLayoutItemMajor);
   writer.add_tensor("emb.table", Tensor::full({16, 4}, 0.5f));
   writer.add_tensor("bn1.gamma", Tensor::full({4}, 1.0f));
   writer.add_tensor("bn1.beta", Tensor::full({4}, 0.0f));
   writer.add_tensor("bn1.mean", Tensor::full({4}, 0.0f));
   writer.add_tensor("bn1.var", Tensor::full({4}, 1.0f));
-  writer.add_tensor("out.weight", Tensor::full({4, 2}, 0.25f));
+  writer.add_tensor("out.weight", Tensor::full({2, 4}, 0.25f));  // [items, in]
   writer.add_tensor("out.bias", Tensor::full({2}, 0.0f));
 }
 }  // namespace
@@ -304,6 +307,37 @@ TEST_F(McmInspectTest, ReportsStaleCatalogIndexWithReason) {
   EXPECT_NE(result.output.find("catalog index: stale"), std::string::npos);
   EXPECT_NE(result.output.find("falls back to the exact full scan"),
             std::string::npos);
+}
+
+// Unreadable inputs — a missing path, junk bytes, a valid file cut short —
+// print the reason and exit 2; none may escape as an uncaught exception.
+TEST_F(McmInspectTest, UnreadableFilesExitTwoWithReason) {
+  const std::string missing = path_ + ".absent";
+  const ToolResult absent = run_tool("\"" + missing + "\"");
+  EXPECT_EQ(absent.exit_code, 2) << absent.output;
+  EXPECT_NE(absent.output.find("mcm_inspect: "), std::string::npos)
+      << absent.output;
+
+  {
+    std::ofstream junk(path_, std::ios::binary | std::ios::trunc);
+    junk << "this is not an mcm file, just some junk bytes\n";
+  }
+  const ToolResult garbage = run_tool("\"" + path_ + "\"");
+  EXPECT_EQ(garbage.exit_code, 2) << garbage.output;
+  EXPECT_NE(garbage.output.find("mcm_inspect: "), std::string::npos)
+      << garbage.output;
+
+  {
+    ModelWriter writer(path_);
+    writer.add_tensor("emb.table", Tensor::randn({64, 16}, rng_));
+    writer.finish();
+  }
+  std::filesystem::resize_file(path_,
+                               std::filesystem::file_size(path_) / 2);
+  const ToolResult truncated = run_tool("\"" + path_ + "\"");
+  EXPECT_EQ(truncated.exit_code, 2) << truncated.output;
+  EXPECT_NE(truncated.output.find("mcm_inspect: "), std::string::npos)
+      << truncated.output;
 }
 
 TEST_F(McmInspectTest, MissingArgumentFailsWithUsage) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+
 #include "nn/grad_check.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "ondevice/format.h"
 
 namespace memcom {
 namespace {
@@ -221,6 +225,45 @@ TEST(RecModel, McmRoundTripRestoresExactInference) {
   fresh.load_mcm(path);
   const Tensor restored = fresh.forward(toy_batch(), false);
   EXPECT_TRUE(restored.equals(expected));
+  std::remove(path.c_str());
+}
+
+// The file stores the output head item-major ([items, in]) and says so;
+// load_mcm transposes it back to the training [in, items] parameter with
+// every f32 bit intact.
+TEST(RecModel, McmOutputWeightIsItemMajorAndRestoresExactly) {
+  ModelConfig config = base_config(ModelArch::kClassification);
+  RecModel model(config);
+  auto out_weight = [](RecModel& m) -> Tensor& {
+    for (Param* p : m.params()) {
+      if (p->name == "out.weight") {
+        return p->value;
+      }
+    }
+    throw std::runtime_error("no out.weight parameter");
+  };
+  Tensor& w = out_weight(model);
+  for (Index i = 0; i < w.numel(); ++i) {
+    w.data()[i] = 0.001f * static_cast<float>(i) - 1.0f / 3.0f;
+  }
+  const std::string path = "/tmp/memcom_layout_test.mcm";
+  model.export_mcm(path);
+  {
+    const MmapModel mapped(path);
+    EXPECT_EQ(mapped.metadata_value(kOutputLayoutKey), kOutputLayoutItemMajor);
+    const Shape stored = mapped.entry("out.weight").shape;
+    ASSERT_EQ(stored.size(), 2u);
+    EXPECT_EQ(stored[0], w.dim(1));  // items
+    EXPECT_EQ(stored[1], w.dim(0));  // in
+  }
+  RecModel fresh(config);
+  fresh.load_mcm(path);
+  const Tensor& restored = out_weight(fresh);
+  ASSERT_EQ(restored.shape(), w.shape());
+  for (Index i = 0; i < w.numel(); ++i) {
+    ASSERT_EQ(std::memcmp(&restored.data()[i], &w.data()[i], sizeof(float)), 0)
+        << "element " << i;
+  }
   std::remove(path.c_str());
 }
 

@@ -49,6 +49,7 @@
 // compile leg alone.
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <filesystem>
 #include <iostream>
 #include <memory>
@@ -98,9 +99,7 @@ std::vector<std::vector<std::int32_t>> random_requests(Index vocab,
   return requests;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench(int argc, char** argv) {
   const Flags flags(argc, argv);
   const std::string models_flag = flags.get_string("models", "");
   if (flags.positional().empty() && models_flag.empty()) {
@@ -677,4 +676,17 @@ int main(int argc, char** argv) {
               << table.to_string();
   }
   return 0;
+}
+
+}  // namespace
+
+// A missing, junk or truncated model file is a bad input, not a crash:
+// print the reason and exit 2, the same code as a usage error.
+int main(int argc, char** argv) {
+  try {
+    return bench(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "mcm_bench: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -7,6 +7,7 @@
 //
 //   ./mcm_inspect model.mcm [--stats]
 #include <algorithm>
+#include <exception>
 #include <iostream>
 #include <vector>
 
@@ -18,7 +19,9 @@
 
 using namespace memcom;
 
-int main(int argc, char** argv) {
+namespace {
+
+int inspect(int argc, char** argv) {
   const Flags flags(argc, argv);
   if (flags.positional().empty()) {
     std::cerr << "usage: mcm_inspect <model.mcm> [--stats]\n";
@@ -145,14 +148,15 @@ int main(int argc, char** argv) {
       break;
   }
 
-  // Output-table summary: the dense head "out.weight" ([in, items], each
-  // column one catalog item) is what session-based next-item serving scans
-  // for its full-catalog top-k — surface its dims and compressed footprint.
+  // Output-table summary: the dense head "out.weight" ([items, in],
+  // item-major — each row one catalog item) is what session-based
+  // next-item serving scans for its full-catalog top-k — surface its dims
+  // and compressed footprint.
   if (model.has_tensor("out.weight")) {
     const TensorEntry& head = model.entry("out.weight");
     if (head.shape.size() == 2) {
-      std::cout << "output catalog (out.weight): " << head.shape[1]
-                << " items x " << head.shape[0] << " dims, "
+      std::cout << "output catalog (out.weight): " << head.shape[0]
+                << " items x " << head.shape[1] << " dims, "
                 << head.byte_size << " bytes compressed\n";
     }
   }
@@ -171,4 +175,17 @@ int main(int argc, char** argv) {
     std::cout << stats.to_string();
   }
   return 0;
+}
+
+}  // namespace
+
+// A missing, junk or truncated file is a bad input, not a crash: print the
+// reason and exit 2, the same code as a usage error.
+int main(int argc, char** argv) {
+  try {
+    return inspect(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "mcm_inspect: " << e.what() << "\n";
+    return 2;
+  }
 }
