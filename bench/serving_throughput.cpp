@@ -6,13 +6,13 @@
 // Two QPS figures per row:
 //   * qps          — real wall clock of the drain (bounded by host cores
 //                    and, for paced runs, by the offered arrival rate);
-//   * modeled_qps  — simulated-device throughput from the engines' modeled
+//   * modeled_qps  — simulated-device throughput from the contexts' modeled
 //                    per-forward latency (compute + per-op dispatch). This
 //                    is where micro-batching wins: a micro-batch of B pays
 //                    the dispatch overhead once instead of B times.
 //
 // Unlike micro_lookup/micro_ops this does not need Google Benchmark — it is
-// a plain binary driven by core/flags.h, so it builds everywhere the engine
+// a plain binary driven by core/flags.h, so it builds everywhere the runtime
 // does. Besides the human-readable tables it writes a machine-readable
 // BENCH_serving.json for CI trend tracking.
 //
@@ -32,7 +32,7 @@
 #include "core/table.h"
 #include "ondevice/catalog_index.h"
 #include "ondevice/clock.h"
-#include "ondevice/engine.h"
+#include "ondevice/execution_context.h"
 #include "ondevice/plan.h"
 #include "ondevice/quantize.h"
 #include "ondevice/registry.h"
@@ -682,7 +682,13 @@ int main(int argc, char** argv) {
                      /*emit_plan=*/true);
 
     const int cold_runs = smoke ? 5 : 30;
-    const std::vector<std::int32_t>& probe = requests.front();
+    // The sweep's requests draw ids from `vocab`, which is larger than this
+    // model's id domain: fold the probe into it, or the first forward reads
+    // past the embedding table.
+    std::vector<std::int32_t> probe = requests.front();
+    for (std::int32_t& id : probe) {
+      id %= static_cast<std::int32_t>(ml_vocab);
+    }
     struct ColdLeg {
       const char* label;
       PlanPolicy policy;
@@ -708,8 +714,8 @@ int main(int argc, char** argv) {
             std::make_shared<const CompiledModel>(mapped, leg.policy);
         adopt_ms.push_back(elapsed_ms(t));
         t = SteadyClock::now();
-        InferenceEngine engine(compiled, tflite_profile());
-        engine.run_view(probe);
+        ExecutionContext context(compiled, tflite_profile());
+        context.run_view(probe);
         infer_ms.push_back(elapsed_ms(t));
         total_ms.push_back(elapsed_ms(boot));
         adopted = compiled->plan_adopted();
@@ -759,7 +765,7 @@ int main(int argc, char** argv) {
   std::cout << "\nclosed-loop (batch-1, no cache):\n"
             << closed_table.to_string();
   std::cout << "\nasync micro-batching (open-loop, hot-row cache "
-            << cache_kb << " KiB/engine):\n"
+            << cache_kb << " KiB/context):\n"
             << async_table.to_string();
   std::cout << "\nmulti-tenant (2 models, interleaved, batch<=8, "
             << max_threads << " threads):\n"

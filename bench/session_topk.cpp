@@ -34,7 +34,7 @@
 #include "core/rng.h"
 #include "core/table.h"
 #include "ondevice/catalog_index.h"
-#include "ondevice/engine.h"
+#include "ondevice/clock.h"
 #include "ondevice/kernels.h"
 #include "ondevice/quantize.h"
 #include "ondevice/topk.h"

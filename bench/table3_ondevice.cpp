@@ -15,7 +15,7 @@
 #include <filesystem>
 
 #include "bench_common.h"
-#include "ondevice/engine.h"
+#include "ondevice/execution_context.h"
 
 using namespace memcom;
 using namespace memcom::bench;
@@ -108,14 +108,15 @@ int main(int argc, char** argv) {
       std::vector<std::string> row = {spec.name, technique_name(kind)};
       std::vector<std::string> memory_cells;
       for (const DeviceProfile& profile : profiles) {
-        InferenceEngine engine(mapped, profile);
+        ExecutionContext context(std::make_shared<const CompiledModel>(mapped),
+                                 profile);
         const LatencyStats stats =
-            engine.benchmark(history, static_cast<int>(scale.runs));
+            context.benchmark(history, static_cast<int>(scale.runs));
         row.push_back(format_float(stats.mean_ms, 3));
         if (profile.label() == "coreml/all" ||
             profile.label() == "tflite/CPU") {
           memory_cells.push_back(
-              format_float(engine.resident_megabytes(), 2));
+              format_float(context.resident_megabytes(), 2));
         }
       }
       row.insert(row.end(), memory_cells.begin(), memory_cells.end());

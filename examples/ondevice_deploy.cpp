@@ -1,6 +1,6 @@
 // On-device deployment walkthrough (§3 + §5.3): train a compressed model,
 // export it to the mmap-able .mcm format (optionally quantized, A.2), load
-// it with the on-device inference engine under a CoreML-like and a
+// it into an on-device ExecutionContext under a CoreML-like and a
 // TF-Lite-like device profile, and report latency + resident memory.
 //
 //   ./ondevice_deploy [--bits 32|16|8|4] [--epochs 2]
@@ -10,7 +10,7 @@
 #include "core/flags.h"
 #include "core/table.h"
 #include "data/synthetic.h"
-#include "ondevice/engine.h"
+#include "ondevice/execution_context.h"
 #include "repro/trainer.h"
 
 using namespace memcom;
@@ -50,10 +50,11 @@ int main(int argc, char** argv) {
       {"device profile", "latency (ms)", "resident memory (MB)"});
   for (const DeviceProfile& profile :
        {coreml_profile("all"), coreml_profile("cpuOnly"), tflite_profile()}) {
-    InferenceEngine engine(mapped, profile);
-    const LatencyStats stats = engine.benchmark(sample.inputs.ids, 100);
+    ExecutionContext context(std::make_shared<const CompiledModel>(mapped),
+                             profile);
+    const LatencyStats stats = context.benchmark(sample.inputs.ids, 100);
     table.add_row({profile.label(), format_float(stats.mean_ms, 3),
-                   format_float(engine.resident_megabytes(), 2)});
+                   format_float(context.resident_megabytes(), 2)});
   }
   std::cout << table.to_string();
   std::cout << "\nLookup-path models touch O(history) table rows; see "

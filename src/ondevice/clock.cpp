@@ -1,10 +1,6 @@
-#include "ondevice/engine.h"
+#include "ondevice/clock.h"
 
 #include <algorithm>
-#include <cmath>
-#include <utility>
-
-#include "core/check.h"
 
 namespace memcom {
 
@@ -43,38 +39,6 @@ LatencyStats latency_stats_from_samples(std::vector<double> samples_ms) {
   stats.p95_ms = percentile(samples_ms, 95);
   stats.p99_ms = percentile(samples_ms, 99);
   return stats;
-}
-
-InferenceEngine::InferenceEngine(const MmapModel& model, DeviceProfile profile)
-    : compiled_(std::make_shared<const CompiledModel>(model)),
-      context_(compiled_, std::move(profile)) {}
-
-InferenceEngine::InferenceEngine(std::shared_ptr<const CompiledModel> compiled,
-                                 DeviceProfile profile)
-    : compiled_(std::move(compiled)), context_(compiled_, std::move(profile)) {
-  // A null plan is rejected by the context_ member's constructor above.
-}
-
-InferenceResult InferenceEngine::run(const std::vector<std::int32_t>& history) {
-  const InferenceView view = run_view(history);
-  InferenceResult result;
-  result.embedding_ms = view.embedding_ms;
-  result.total_ms = view.total_ms;
-  result.op_count = view.op_count;
-  result.logits = Tensor::from_vector(
-      {view.dim}, std::vector<float>(view.logits, view.logits + view.dim));
-  return result;
-}
-
-LatencyStats InferenceEngine::benchmark(
-    const std::vector<std::int32_t>& history, int runs) {
-  check(runs > 0, "engine: runs must be positive");
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(runs));
-  for (int i = 0; i < runs; ++i) {
-    samples.push_back(run_view(history).total_ms);
-  }
-  return latency_stats_from_samples(std::move(samples));
 }
 
 }  // namespace memcom

@@ -67,6 +67,17 @@ void ExecutionContext::resize_scratch() {
                 0.0f);
 }
 
+LatencyStats ExecutionContext::benchmark(
+    const std::vector<std::int32_t>& history, int runs) {
+  check(runs > 0, "ExecutionContext: runs must be positive");
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(runs));
+  for (int i = 0; i < runs; ++i) {
+    samples.push_back(run_view(history).total_ms);
+  }
+  return latency_stats_from_samples(std::move(samples));
+}
+
 bool ExecutionContext::attach_row_cache() {
   std::vector<Index> widths = compiled_->cache_row_widths();
   if (widths.empty()) {

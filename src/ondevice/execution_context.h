@@ -12,10 +12,13 @@
 // cold (cached rows of the old version's weights must never serve the new
 // version's traffic).
 //
-// The forward pass itself is the PR-2/PR-3 zero-allocation fast path,
-// unchanged: no string lookups, no heap allocations, page-touch metering
-// identical to the pre-split engine (tests/test_fastpath.cpp and
-// tests/test_differential.cpp enforce both).
+// The forward pass is the zero-allocation fast path: no string lookups, no
+// heap allocations (tests/test_fastpath.cpp enforces both), and page-touch
+// metering and logits identical on every serving path
+// (tests/test_differential.cpp). A context is the one execution API: build
+// it over a private plan with
+// ExecutionContext(std::make_shared<const CompiledModel>(mapped), profile)
+// or over a plan shared with other contexts.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "core/tensor.h"
+#include "ondevice/clock.h"
 #include "ondevice/compiled_model.h"
 #include "ondevice/device_profile.h"
 #include "ondevice/hot_row_cache.h"
@@ -96,8 +100,8 @@ class ExecutionContext {
   // ordering contract). When `top_k` > 0, `topk_out` is resized to [batch]
   // and row b receives the best min(top_k, output_dim) ids of request b,
   // selected straight off the logits scratch before the next row
-  // overwrites it. Ranking lives here so every serving path — worker
-  // micro-batches, harness, bench — breaks ties identically.
+  // overwrites it. Ranking lives here so every ranking caller — AsyncServer
+  // micro-batches, the benches — breaks ties identically.
   //
   // `nprobes` (optional, per row, parallel to `histories`) turns a row's
   // ranking into the CLUSTERED PRUNED scan when its value is > 0 AND the
@@ -113,6 +117,10 @@ class ExecutionContext {
                         Index top_k,
                         std::vector<std::vector<ScoredId>>* topk_out,
                         const std::vector<Index>* nprobes = nullptr);
+
+  // Latency distribution over `runs` batch-1 forwards of the same input
+  // (the paper reports the average of 1000 runs; percentiles are kept too).
+  LatencyStats benchmark(const std::vector<std::int32_t>& history, int runs);
 
   const MemoryMeter& meter() const { return meter_; }
   void reset_meter() { meter_.reset(); }

@@ -17,7 +17,7 @@
 //     isolation guarantees that the ≤1 row per table an embed step holds is
 //     never evicted by a concurrent fill to another table). The one-hot
 //     Weinberger path streams the whole table and bypasses the cache
-//     entirely (InferenceEngine::enable_row_cache refuses to attach one).
+//     entirely (ExecutionContext::enable_row_cache refuses to attach one).
 //
 // Replacement is direct-mapped: slot = mix(row) % partition slots, a miss
 // overwrites whatever lived there. Deterministic, allocation-free, and a

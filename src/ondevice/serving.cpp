@@ -27,24 +27,24 @@ ServingHarness::ServingHarness(std::shared_ptr<const CompiledModel> compiled,
     : compiled_(std::move(compiled)) {
   check(compiled_ != nullptr, "serving: null compiled model");
   // A non-positive pool would leave serve() with no one to drain the cursor
-  // (and historically made output_dim() dereference an empty engine list).
+  // (and historically made output_dim() dereference an empty worker list).
   check(threads > 0, "serving: thread count must be positive");
-  engines_.reserve(static_cast<std::size_t>(threads));
+  contexts_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) {
     // Every worker shares the ONE plan; only per-thread state is built here.
-    engines_.push_back(std::make_unique<InferenceEngine>(compiled_, profile));
+    contexts_.push_back(std::make_unique<ExecutionContext>(compiled_, profile));
     if (cache_budget_bytes > 0) {
-      engines_.back()->enable_row_cache(cache_budget_bytes);
+      contexts_.back()->enable_row_cache(cache_budget_bytes);
     }
   }
 }
 
 namespace {
-RowCacheStats aggregate_engine_cache_stats(
-    const std::vector<std::unique_ptr<InferenceEngine>>& engines) {
+RowCacheStats aggregate_cache_stats(
+    const std::vector<std::unique_ptr<ExecutionContext>>& contexts) {
   RowCacheStats total;
-  for (const auto& engine : engines) {
-    const RowCacheStats s = engine->row_cache_stats();
+  for (const auto& context : contexts) {
+    const RowCacheStats s = context->row_cache_stats();
     if (!s.enabled) {
       continue;
     }
@@ -60,7 +60,7 @@ RowCacheStats aggregate_engine_cache_stats(
 }
 
 // A drain's report must cover THAT drain: hit/miss counters are lifetime
-// totals per engine, so subtract the pre-drain snapshot (resident/capacity
+// totals per context, so subtract the pre-drain snapshot (resident/capacity
 // stay absolute — they describe the slab, not the traffic).
 RowCacheStats cache_stats_delta(const RowCacheStats& before,
                                 const RowCacheStats& after) {
@@ -68,6 +68,65 @@ RowCacheStats cache_stats_delta(const RowCacheStats& before,
   delta.hits = after.hits - before.hits;
   delta.misses = after.misses - before.misses;
   return delta;
+}
+
+double ratio(std::uint64_t num, std::uint64_t den) {
+  return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
+}
+
+double per_second(std::uint64_t count, double ms) {
+  return ms > 0.0 ? static_cast<double>(count) / (ms / 1000.0) : 0.0;
+}
+
+// How a drain's requests left the server. The closed-loop harness carries
+// no deadlines, so every request it serves counts as within SLO.
+struct DrainOutcomes {
+  std::uint64_t shed = 0;
+  std::uint64_t deadline_misses = 0;
+  std::uint64_t within_slo = 0;  // executed before its deadline, or had none
+
+  void add(const AsyncResult& result) {
+    if (result.status == RequestStatus::kShed) {
+      ++shed;
+    } else if (result.deadline_missed) {
+      ++deadline_misses;
+    } else {
+      ++within_slo;
+    }
+  }
+};
+
+// The head every drain report shares: who ran it and the cold-start slice
+// of the plan it served (`plan` null: the model is gone, the slice stays
+// zero).
+ServingReport open_report(int threads, int shards, std::uint64_t requests,
+                          const CompiledModel* plan) {
+  ServingReport report;
+  report.threads = threads;
+  report.shards = shards;
+  report.requests = requests;
+  if (plan != nullptr) {
+    report.plan_adopted = plan->plan_adopted();
+    report.plan_compile_ms = plan->compile_ms();
+    report.plan_fallback_reason = plan->plan_fallback_reason();
+  }
+  return report;
+}
+
+// The tail every drain report shares: the per-outcome counts and the rates
+// derived from them, once wall_ms, batches and modeled_busy_ms are filled.
+// mean_batch and modeled_qps divide EXECUTED requests: shed ones never
+// joined a batch or ran on a device.
+void close_report(ServingReport& report, const DrainOutcomes& outcomes) {
+  const std::uint64_t executed = report.requests - outcomes.shed;
+  report.shed = outcomes.shed;
+  report.shed_rate = ratio(outcomes.shed, report.requests);
+  report.deadline_misses = outcomes.deadline_misses;
+  report.deadline_miss_rate = ratio(outcomes.deadline_misses, executed);
+  report.qps = per_second(report.requests, report.wall_ms);
+  report.goodput_qps = per_second(outcomes.within_slo, report.wall_ms);
+  report.mean_batch = ratio(executed, report.batches);
+  report.modeled_qps = per_second(executed, report.modeled_busy_ms);
 }
 }  // namespace
 
@@ -83,32 +142,27 @@ ServingReport ServingHarness::serve(
     *logits_out = Tensor({static_cast<Index>(unique), dim});
   }
 
-  ServingReport report;
-  report.threads = threads();
-  report.requests = total;
-  report.plan_adopted = compiled_->plan_adopted();
-  report.plan_compile_ms = compiled_->compile_ms();
-  report.plan_fallback_reason = compiled_->plan_fallback_reason();
+  ServingReport report = open_report(threads(), 0, total, compiled_.get());
   if (total == 0) {
     return report;
   }
-  const RowCacheStats cache_before = aggregate_engine_cache_stats(engines_);
+  const RowCacheStats cache_before = aggregate_cache_stats(contexts_);
 
   std::atomic<std::uint64_t> cursor{0};
-  std::vector<std::vector<double>> samples(engines_.size());
-  std::vector<double> modeled(engines_.size(), 0.0);
+  std::vector<std::vector<double>> samples(contexts_.size());
+  std::vector<double> modeled(contexts_.size(), 0.0);
   // Reserve ~2× the fair share per worker: enough headroom for work-stealing
   // imbalance without pre-allocating threads×total samples on large drains.
   // A rare mid-drain realloc happens between timing windows, so it can only
   // nudge aggregate wall_ms/QPS, never an individual latency sample.
   const std::uint64_t per_worker = std::min(
-      total, total / static_cast<std::uint64_t>(engines_.size()) * 2 + 64);
+      total, total / static_cast<std::uint64_t>(contexts_.size()) * 2 + 64);
   for (auto& s : samples) {
     s.reserve(static_cast<std::size_t>(per_worker));
   }
 
   const auto run_worker = [&](std::size_t worker) {
-    InferenceEngine& engine = *engines_[worker];
+    ExecutionContext& context = *contexts_[worker];
     std::vector<double>& lat = samples[worker];
     double busy_ms = 0.0;
     for (;;) {
@@ -120,7 +174,7 @@ ServingReport ServingHarness::serve(
       const std::size_t r = static_cast<std::size_t>(i % unique);
       const auto& history = requests[r];
       const auto start = Clock::now();
-      const InferenceView view = engine.run_view(history);
+      const InferenceView view = context.run_view(history);
       lat.push_back(elapsed_ms(start));
       busy_ms += view.total_ms;
       // Only the first repetition writes logits, so rows are written by
@@ -134,12 +188,12 @@ ServingReport ServingHarness::serve(
   };
 
   const auto wall_start = Clock::now();
-  if (engines_.size() == 1) {
+  if (contexts_.size() == 1) {
     run_worker(0);
   } else {
     std::vector<std::thread> workers;
-    workers.reserve(engines_.size());
-    for (std::size_t w = 0; w < engines_.size(); ++w) {
+    workers.reserve(contexts_.size());
+    for (std::size_t w = 0; w < contexts_.size(); ++w) {
       workers.emplace_back(run_worker, w);
     }
     for (std::thread& t : workers) {
@@ -154,27 +208,23 @@ ServingReport ServingHarness::serve(
     all.insert(all.end(), s.begin(), s.end());
   }
   report.latency = latency_stats_from_samples(std::move(all));
-  report.qps = report.wall_ms > 0.0
-                   ? static_cast<double>(total) / (report.wall_ms / 1000.0)
-                   : 0.0;
   report.modeled_busy_ms =
       *std::max_element(modeled.begin(), modeled.end());
-  report.modeled_qps =
-      report.modeled_busy_ms > 0.0
-          ? static_cast<double>(total) / (report.modeled_busy_ms / 1000.0)
-          : 0.0;
   report.cache =
-      cache_stats_delta(cache_before, aggregate_engine_cache_stats(engines_));
+      cache_stats_delta(cache_before, aggregate_cache_stats(contexts_));
+  DrainOutcomes outcomes;
+  outcomes.within_slo = total;
+  close_report(report, outcomes);
   return report;
 }
 
 double ServingHarness::max_resident_megabytes() const {
   double max_mb = 0.0;
-  for (const auto& engine : engines_) {
-    max_mb = std::max(max_mb, engine->resident_megabytes());
+  for (const auto& context : contexts_) {
+    max_mb = std::max(max_mb, context->resident_megabytes());
   }
   // The plan's pre-dequantized buffers are resident exactly once for the
-  // whole fleet (compile-once sharing); the per-engine figure above covers
+  // whole fleet (compile-once sharing); the per-context figure above covers
   // only per-thread state.
   return max_mb +
          static_cast<double>(plan_resident_bytes()) / (1024.0 * 1024.0);
@@ -746,7 +796,6 @@ void AsyncServer::execute_batch(std::size_t worker, BatchTask& task,
       WorkerStats& stats = worker_stats_[worker];
       stats.modeled_busy_ms += batch.total_ms;
       ++stats.batches;
-      stats.ranked_rows += batch.ranked_rows;
       stats.catalog_rows += batch.catalog_rows;
       stats.scanned_rows += batch.scanned_rows;
       stats.scanned_bytes += batch.scanned_bytes;
@@ -774,7 +823,6 @@ void AsyncServer::execute_batch(std::size_t worker, BatchTask& task,
         stats.queue_wait_ms.push_back(wait_ms);
         stats.service_ms.push_back(service_ms);
         stats.total_ms.push_back(total_ms);
-        ++stats.requests;
         if (r.is_session) {
           ++stats.session_requests;
           stats.session_total_ms.push_back(total_ms);
@@ -901,16 +949,9 @@ ServingReport AsyncServer::drive(
     logits_out->assign(unique, {});
   }
 
-  ServingReport report;
-  report.threads = threads();
-  report.requests = total;
-  // Cold-start slice: the default model's CURRENT plan (may legitimately
-  // be gone mid-drain if a test retires it; report then stays zeroed).
-  if (const auto compiled = registry_->acquire(default_model_)) {
-    report.plan_adopted = compiled->plan_adopted();
-    report.plan_compile_ms = compiled->compile_ms();
-    report.plan_fallback_reason = compiled->plan_fallback_reason();
-  }
+  // Cold-start slice: the default model's CURRENT plan.
+  ServingReport report = open_report(threads(), shards(), total,
+                                     registry_->acquire(default_model_).get());
   if (total == 0) {
     return report;
   }
@@ -960,45 +1001,20 @@ ServingReport AsyncServer::drive(
     futures.push_back(submit(*r.model_id, *r.history));
   }
 
-  std::uint64_t shed_count = 0;
-  std::uint64_t miss_count = 0;
-  std::uint64_t ok_in_slo = 0;
+  DrainOutcomes outcomes;
   for (std::uint64_t i = 0; i < total; ++i) {
     AsyncResult result = futures[static_cast<std::size_t>(i)].get();
-    if (result.status == RequestStatus::kShed) {
-      ++shed_count;
-    } else if (result.deadline_missed) {
-      ++miss_count;
-    } else {
-      ++ok_in_slo;  // no deadline configured counts as within SLO
-    }
+    outcomes.add(result);
     if (logits_out != nullptr && i < unique &&
         result.status == RequestStatus::kOk) {
       (*logits_out)[static_cast<std::size_t>(i)] = std::move(result.logits);
     }
   }
   report.wall_ms = elapsed_ms(wall_start);
-  report.qps = report.wall_ms > 0.0
-                   ? static_cast<double>(total) / (report.wall_ms / 1000.0)
-                   : 0.0;
-  report.shards = static_cast<int>(shards_.size());
   report.steals = steals_.load(std::memory_order_relaxed) - steals_before;
   report.late_arrivals = late;
-  report.shed = shed_count;
-  report.shed_rate =
-      total > 0 ? static_cast<double>(shed_count) / static_cast<double>(total)
-                : 0.0;
-  const std::uint64_t executed = total - shed_count;
-  report.deadline_misses = miss_count;
-  report.deadline_miss_rate =
-      executed > 0
-          ? static_cast<double>(miss_count) / static_cast<double>(executed)
-          : 0.0;
-  report.goodput_qps =
-      report.wall_ms > 0.0
-          ? static_cast<double>(ok_in_slo) / (report.wall_ms / 1000.0)
-          : 0.0;
-  collect_stats(report, total);
+  collect_stats(report);
+  close_report(report, outcomes);
   return report;
 }
 
@@ -1011,15 +1027,8 @@ ServingReport AsyncServer::serve_sessions(
   if (topk_out != nullptr) {
     topk_out->assign(events.size(), {});
   }
-  ServingReport report;
-  report.threads = threads();
-  report.requests = total;
-  report.shards = static_cast<int>(shards_.size());
-  if (const auto compiled = registry_->acquire(default_model_)) {
-    report.plan_adopted = compiled->plan_adopted();
-    report.plan_compile_ms = compiled->compile_ms();
-    report.plan_fallback_reason = compiled->plan_fallback_reason();
-  }
+  ServingReport report = open_report(threads(), shards(), total,
+                                     registry_->acquire(default_model_).get());
   if (total == 0) {
     report.active_sessions = active_sessions();
     report.session_evictions = evicted_sessions();
@@ -1035,48 +1044,27 @@ ServingReport AsyncServer::serve_sessions(
     futures.push_back(
         submit_next_item(default_model_, e.session_id, e.item, k));
   }
-  std::uint64_t shed_count = 0;
-  std::uint64_t miss_count = 0;
-  std::uint64_t ok_in_slo = 0;
+  DrainOutcomes outcomes;
   for (std::size_t i = 0; i < futures.size(); ++i) {
     AsyncResult result = futures[i].get();
-    if (result.status == RequestStatus::kShed) {
-      ++shed_count;
-    } else if (result.deadline_missed) {
-      ++miss_count;
-    } else {
-      ++ok_in_slo;
-    }
+    outcomes.add(result);
     if (topk_out != nullptr && result.status == RequestStatus::kOk) {
       (*topk_out)[i] = std::move(result.top_ids);
     }
   }
   report.wall_ms = elapsed_ms(wall_start);
-  report.qps = report.wall_ms > 0.0
-                   ? static_cast<double>(total) / (report.wall_ms / 1000.0)
-                   : 0.0;
   report.steals = steals_.load(std::memory_order_relaxed) - steals_before;
-  report.shed = shed_count;
-  report.shed_rate = static_cast<double>(shed_count) / static_cast<double>(total);
-  const std::uint64_t executed = total - shed_count;
-  report.deadline_misses = miss_count;
-  report.deadline_miss_rate =
-      executed > 0
-          ? static_cast<double>(miss_count) / static_cast<double>(executed)
-          : 0.0;
-  report.goodput_qps =
-      report.wall_ms > 0.0
-          ? static_cast<double>(ok_in_slo) / (report.wall_ms / 1000.0)
-          : 0.0;
-  collect_stats(report, total);
+  collect_stats(report);
+  close_report(report, outcomes);
   return report;
 }
 
-void AsyncServer::collect_stats(ServingReport& report, std::uint64_t total) {
+void AsyncServer::collect_stats(ServingReport& report) {
+  const auto total = static_cast<std::size_t>(report.requests);
   std::vector<double> waits, services, totals, session_totals;
-  waits.reserve(static_cast<std::size_t>(total));
-  services.reserve(static_cast<std::size_t>(total));
-  totals.reserve(static_cast<std::size_t>(total));
+  waits.reserve(total);
+  services.reserve(total);
+  totals.reserve(total);
   std::map<std::string, ModelReport> models;
   std::map<std::string, std::vector<double>> model_totals;
   {
@@ -1134,29 +1122,13 @@ void AsyncServer::collect_stats(ServingReport& report, std::uint64_t total) {
   report.session_evictions = evicted_sessions();
   report.pruned_fraction =
       report.catalog_rows > 0
-          ? 1.0 - static_cast<double>(report.scanned_rows) /
-                      static_cast<double>(report.catalog_rows)
-          : 0.0;
-  report.mean_batch =
-      report.batches > 0
-          ? static_cast<double>(total) / static_cast<double>(report.batches)
-          : 0.0;
-  report.modeled_qps =
-      report.modeled_busy_ms > 0.0
-          ? static_cast<double>(total) / (report.modeled_busy_ms / 1000.0)
+          ? 1.0 - ratio(report.scanned_rows, report.catalog_rows)
           : 0.0;
   for (auto& [model_id, model] : models) {
     model.latency =
         latency_stats_from_samples(std::move(model_totals[model_id]));
-    model.mean_batch = model.batches > 0
-                           ? static_cast<double>(model.requests) /
-                                 static_cast<double>(model.batches)
-                           : 0.0;
-    model.modeled_qps =
-        model.modeled_busy_ms > 0.0
-            ? static_cast<double>(model.requests) /
-                  (model.modeled_busy_ms / 1000.0)
-            : 0.0;
+    model.mean_batch = ratio(model.requests, model.batches);
+    model.modeled_qps = per_second(model.requests, model.modeled_busy_ms);
     report.cache.enabled = report.cache.enabled || model.cache.enabled;
     report.cache.hits += model.cache.hits;
     report.cache.misses += model.cache.misses;

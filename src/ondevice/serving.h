@@ -1,4 +1,4 @@
-// Serving harnesses over the on-device inference engine.
+// Serving drivers over shared CompiledModel plans.
 //
 // Both execution models share compiled plans instead of recompiling per
 // worker: a CompiledModel is built ONCE per model file and every worker
@@ -41,13 +41,13 @@
 //     first batch of a new version so stale rows can never serve.
 //
 // Both report real wall-clock QPS and a modeled-device QPS derived from the
-// engines' simulated per-forward latency (which includes the profile's
+// contexts' simulated per-forward latency (which includes the profile's
 // dispatch overhead — this is where micro-batching visibly wins; real wall
 // clock on a shared host measures mostly the simulator itself). The async
 // report additionally breaks requests/latency/cache down per model id.
 //
-// Logits are bit-identical to sequential InferenceEngine::run() on every
-// path — direct, registry-served, and post-swap — cache cold or warm;
+// Logits are bit-identical to sequential ExecutionContext::run_view() on
+// every path — direct, registry-served, and post-swap — cache cold or warm;
 // tests/test_serving.cpp and tests/test_differential.cpp enforce this.
 #pragma once
 
@@ -65,7 +65,7 @@
 
 #include "core/tensor.h"
 #include "ondevice/clock.h"
-#include "ondevice/engine.h"
+#include "ondevice/execution_context.h"
 #include "ondevice/registry.h"
 #include "ondevice/request_queue.h"
 #include "ondevice/session.h"
@@ -78,7 +78,7 @@ struct ModelReport {
   std::uint64_t version = 0;   // latest registry version that served traffic
   std::uint64_t requests = 0;
   std::uint64_t batches = 0;   // micro-batches dispatched for THIS model
-  double mean_batch = 0;       // requests / batches
+  double mean_batch = 0;       // executed requests / batches
   LatencyStats latency;        // end-to-end wall latency of this model's reqs
   double modeled_busy_ms = 0;  // max over workers of this model's busy time
   double modeled_qps = 0;
@@ -90,23 +90,23 @@ struct ModelReport {
 
 struct ServingReport {
   int threads = 0;
-  std::uint64_t requests = 0;  // total forwards executed
+  std::uint64_t requests = 0;  // submitted, shed ones included
   double wall_ms = 0;          // wall clock of the whole drain
   double qps = 0;              // requests / wall seconds (real clock)
   LatencyStats latency;        // per-request end-to-end wall latency (ms)
 
-  // Modeled-device throughput: each worker engine is one simulated device;
+  // Modeled-device throughput: each worker context is one simulated device;
   // its busy time is the sum of the simulated latencies (compute + per-op
   // dispatch) of the forwards it executed. The fleet finishes when the
   // busiest device does.
   double modeled_busy_ms = 0;  // max over workers of summed simulated ms
-  double modeled_qps = 0;      // requests / modeled busy seconds
+  double modeled_qps = 0;      // executed requests / modeled busy seconds
 
   // Async pipeline only (runs == 0 for the closed-loop harness):
   LatencyStats queue_wait;  // enqueue -> micro-batch picked up by a worker
   LatencyStats service;     // micro-batch execution wall time
   std::uint64_t batches = 0;   // micro-batches dispatched
-  double mean_batch = 0;       // requests / batches
+  double mean_batch = 0;       // executed requests / batches
   int shards = 0;              // scheduler shards the drain ran with
   std::uint64_t steals = 0;    // batches executed by a non-primary worker
 
@@ -167,7 +167,7 @@ struct ServingReport {
 
 class ServingHarness {
  public:
-  // Compiles the plan ONCE and shares it across `threads` worker engines;
+  // Compiles the plan ONCE and shares it across `threads` worker contexts;
   // the model must outlive the harness. A nonzero `cache_budget_bytes`
   // attaches a per-worker HotRowCache (bypassed for one-hot techniques).
   ServingHarness(const MmapModel& model, const DeviceProfile& profile,
@@ -183,12 +183,12 @@ class ServingHarness {
   ServingReport serve(const std::vector<std::vector<std::int32_t>>& requests,
                       int repeat = 1, Tensor* logits_out = nullptr);
 
-  int threads() const { return static_cast<int>(engines_.size()); }
+  int threads() const { return static_cast<int>(contexts_.size()); }
   // Plan-derived (safe even on a degenerate pool — never dereferences a
-  // worker engine).
+  // worker context).
   Index output_dim() const { return compiled_->output_dim(); }
   const CompiledModel& compiled() const { return *compiled_; }
-  const InferenceEngine& engine(int i) const { return *engines_[i]; }
+  const ExecutionContext& context(int i) const { return *contexts_[i]; }
 
   // Peak resident footprint across workers (each worker meters its own
   // touches; the weight pages are shared, so the fleet-wide footprint is
@@ -204,7 +204,7 @@ class ServingHarness {
 
  private:
   std::shared_ptr<const CompiledModel> compiled_;
-  std::vector<std::unique_ptr<InferenceEngine>> engines_;
+  std::vector<std::unique_ptr<ExecutionContext>> contexts_;
 };
 
 // ---------------------------------------------------------------------------
@@ -498,13 +498,11 @@ class AsyncServer {
     std::vector<double> total_ms;
     double modeled_busy_ms = 0;
     std::uint64_t batches = 0;
-    std::uint64_t requests = 0;
     // Session slice: submit_next_item requests this worker completed and
     // their end-to-end latencies (feeds ServingReport::session_latency).
     std::uint64_t session_requests = 0;
     std::vector<double> session_total_ms;
     // Catalog-scan slice (ranked rows only; see ServingReport).
-    std::uint64_t ranked_rows = 0;
     std::uint64_t catalog_rows = 0;
     std::uint64_t scanned_rows = 0;
     std::uint64_t scanned_bytes = 0;
@@ -552,10 +550,10 @@ class AsyncServer {
   ServingReport drive(const std::vector<RequestRef>& requests, int repeat,
                       double arrival_qps,
                       std::vector<std::vector<float>>* logits_out);
-  // Shared report-assembly tail of drive()/serve_sessions(): folds the
+  // Shared report-assembly step of drive()/serve_sessions(): folds the
   // worker stats accumulated since the last reset_stats() into `report`
   // (latency/batch/per-model/cache columns plus the session slice).
-  void collect_stats(ServingReport& report, std::uint64_t total);
+  void collect_stats(ServingReport& report);
 
   AsyncServerConfig config_;
   DeviceProfile profile_;

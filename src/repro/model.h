@@ -55,7 +55,7 @@ class RecModel {
   Index output_vocab() const { return config_.output_vocab; }
 
   // Serializes to the on-device .mcm format, quantizing every tensor to
-  // `dtype`. The tensor names match what ondevice::InferenceEngine expects.
+  // `dtype`. The tensor names match what ondevice::CompiledModel resolves.
   // The output head `out.weight` is written item-major, [items, in] — the
   // transpose of the training parameter — and the file is stamped
   // output_layout = item_major (see ondevice/format.h).

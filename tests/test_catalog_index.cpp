@@ -23,7 +23,7 @@
 
 #include "core/rng.h"
 #include "ondevice/compiled_model.h"
-#include "ondevice/engine.h"
+#include "ondevice/execution_context.h"
 #include "ondevice/plan.h"
 #include "ondevice/quantize.h"
 #include "ondevice/serving.h"

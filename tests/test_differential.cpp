@@ -1,7 +1,7 @@
 // Cross-technique differential test harness.
 //
-// Every inference entry point — run(), run_view(), run_batch(),
-// ServingHarness::serve(), and the AsyncServer micro-batching pipeline —
+// Every inference entry point — ExecutionContext::run_view() and
+// run_batch(), ServingHarness::serve(), and the AsyncServer pipeline —
 // must produce BIT-IDENTICAL logits for every Technique enum value over a
 // seeded corpus of edge-case histories, with the hot-row cache detached,
 // cold, and warm. This is the contract that lets future fast-path /
@@ -35,9 +35,9 @@ constexpr Index kEmbedDim = 16;
 constexpr Index kMaxLen = 32;
 constexpr std::size_t kCacheBudget = 32 * 1024;
 
-// Every value of the engine's Technique enum, via the registry kinds that
+// Every value of the plan's Technique enum, via the registry kinds that
 // compile to it. If the enum grows, this list (and the exhaustive switch in
-// engine.cpp) must grow with it.
+// execution_context.cpp) must grow with it.
 const TechniqueKind kAllEngineTechniques[] = {
     TechniqueKind::kFull,        TechniqueKind::kReduceDim,
     TechniqueKind::kTruncateRare, TechniqueKind::kNaiveHash,
@@ -125,15 +125,16 @@ class DifferentialTest : public ::testing::TestWithParam<TechniqueKind> {
   std::vector<std::filesystem::path> paths_;
 };
 
-// Reference logits: sequential run() on a dedicated engine.
+// Reference logits: sequential run_view() on a dedicated context.
 std::vector<Tensor> reference_logits(
     const MmapModel& model,
     const std::vector<std::vector<std::int32_t>>& corpus) {
-  InferenceEngine engine(model, tflite_profile());
+  ExecutionContext context(std::make_shared<const CompiledModel>(model),
+                           tflite_profile());
   std::vector<Tensor> out;
   out.reserve(corpus.size());
   for (const auto& history : corpus) {
-    out.push_back(engine.run(history).logits);
+    out.push_back(test::copy_logits(context.run_view(history)));
   }
   return out;
 }
@@ -154,16 +155,18 @@ void check_all_paths(const MmapModel& model,
                      const std::string& swap_path) {
   // --- run_view -----------------------------------------------------------
   {
-    InferenceEngine engine(model, tflite_profile());
+    ExecutionContext context(std::make_shared<const CompiledModel>(model),
+                             tflite_profile());
     for (std::size_t r = 0; r < corpus.size(); ++r) {
-      const InferenceView view = engine.run_view(corpus[r]);
+      const InferenceView view = context.run_view(corpus[r]);
       expect_bit_identical(view.logits, expected[r], tag + "/run_view", r);
     }
   }
   // --- run_batch ----------------------------------------------------------
   {
-    InferenceEngine engine(model, tflite_profile());
-    BatchResult batch = engine.run_batch(corpus);
+    ExecutionContext context(std::make_shared<const CompiledModel>(model),
+                             tflite_profile());
+    BatchResult batch = context.run_batch(corpus);
     for (std::size_t r = 0; r < corpus.size(); ++r) {
       expect_bit_identical(&batch.logits.at2(static_cast<Index>(r), 0),
                            expected[r], tag + "/run_batch", r);
@@ -216,20 +219,21 @@ void check_all_paths(const MmapModel& model,
   }
   // --- Hot-row cache: cold pass then warm pass ----------------------------
   {
-    InferenceEngine engine(model, tflite_profile());
-    const bool attached = engine.enable_row_cache(kCacheBudget);
-    EXPECT_EQ(attached, !engine.uses_onehot_path()) << tag;
+    ExecutionContext context(std::make_shared<const CompiledModel>(model),
+                             tflite_profile());
+    const bool attached = context.enable_row_cache(kCacheBudget);
+    EXPECT_EQ(attached, !context.compiled().uses_onehot_path()) << tag;
     for (std::size_t r = 0; r < corpus.size(); ++r) {  // cold
-      const InferenceView view = engine.run_view(corpus[r]);
+      const InferenceView view = context.run_view(corpus[r]);
       expect_bit_identical(view.logits, expected[r], tag + "/cache_cold", r);
     }
-    const RowCacheStats after_cold = engine.row_cache_stats();
+    const RowCacheStats after_cold = context.row_cache_stats();
     for (std::size_t r = 0; r < corpus.size(); ++r) {  // warm
-      const InferenceView view = engine.run_view(corpus[r]);
+      const InferenceView view = context.run_view(corpus[r]);
       expect_bit_identical(view.logits, expected[r], tag + "/cache_warm", r);
     }
     if (attached) {
-      const RowCacheStats after_warm = engine.row_cache_stats();
+      const RowCacheStats after_warm = context.row_cache_stats();
       // The corpus is Zipf-skewed and fits the budget: the warm pass must
       // actually hit (otherwise this test isn't exercising the cache).
       EXPECT_GT(after_warm.hits, after_cold.hits) << tag;
@@ -344,14 +348,16 @@ TEST_P(DifferentialTest, ScalarAndDispatchedKernelsBitIdentical) {
     ::setenv("MEMCOM_DISABLE_SIMD", "1", 1);
     std::vector<Tensor> scalar_logits;
     {
-      InferenceEngine engine(model, tflite_profile());
-      EXPECT_STREQ(engine.compiled().kernel_name(), "scalar");
+      ExecutionContext context(std::make_shared<const CompiledModel>(model),
+                               tflite_profile());
+      EXPECT_STREQ(context.compiled().kernel_name(), "scalar");
       for (const auto& history : corpus) {
-        scalar_logits.push_back(engine.run(history).logits);
+        scalar_logits.push_back(test::copy_logits(context.run_view(history)));
       }
     }
     ::unsetenv("MEMCOM_DISABLE_SIMD");
-    InferenceEngine dispatched(model, tflite_profile());
+    ExecutionContext dispatched(std::make_shared<const CompiledModel>(model),
+                                tflite_profile());
     for (std::size_t r = 0; r < corpus.size(); ++r) {
       const InferenceView view = dispatched.run_view(corpus[r]);
       expect_bit_identical(view.logits, scalar_logits[r],
@@ -386,9 +392,9 @@ TEST_P(DifferentialTest, PlanAdoptedAndFallbackBitIdentical) {
     EXPECT_FALSE(forced->plan_adopted()) << tag;
     std::vector<Tensor> expected;
     {
-      InferenceEngine engine(forced, tflite_profile());
+      ExecutionContext context(forced, tflite_profile());
       for (const auto& history : corpus) {
-        expected.push_back(engine.run(history).logits);
+        expected.push_back(test::copy_logits(context.run_view(history)));
       }
     }
 
@@ -397,9 +403,9 @@ TEST_P(DifferentialTest, PlanAdoptedAndFallbackBitIdentical) {
       auto adopted = std::make_shared<const CompiledModel>(mapped);
       EXPECT_TRUE(adopted->plan_adopted()) << tag << ": "
           << adopted->plan_fallback_reason();
-      InferenceEngine engine(adopted, tflite_profile());
+      ExecutionContext context(adopted, tflite_profile());
       for (std::size_t r = 0; r < corpus.size(); ++r) {
-        const InferenceView view = engine.run_view(corpus[r]);
+        const InferenceView view = context.run_view(corpus[r]);
         expect_bit_identical(view.logits, expected[r], tag + "/plan_adopt",
                              r);
       }
@@ -428,9 +434,9 @@ TEST_P(DifferentialTest, PlanAdoptedAndFallbackBitIdentical) {
       EXPECT_NE(fallback->plan_fallback_reason().find("checksum"),
                 std::string::npos)
           << tag << ": " << fallback->plan_fallback_reason();
-      InferenceEngine engine(fallback, tflite_profile());
+      ExecutionContext context(fallback, tflite_profile());
       for (std::size_t r = 0; r < corpus.size(); ++r) {
-        const InferenceView view = engine.run_view(corpus[r]);
+        const InferenceView view = context.run_view(corpus[r]);
         expect_bit_identical(view.logits, expected[r],
                              tag + "/plan_fallback", r);
       }
@@ -457,11 +463,12 @@ TEST_P(DifferentialTest, PlanEmittedUnderScalarAdoptsUnderDispatch) {
   std::vector<Tensor> scalar_logits;
   {
     const MmapModel model(path);
-    InferenceEngine engine(model, tflite_profile());
-    EXPECT_STREQ(engine.compiled().kernel_name(), "scalar");
-    EXPECT_TRUE(engine.compiled().plan_adopted());
+    ExecutionContext context(std::make_shared<const CompiledModel>(model),
+                             tflite_profile());
+    EXPECT_STREQ(context.compiled().kernel_name(), "scalar");
+    EXPECT_TRUE(context.compiled().plan_adopted());
     for (const auto& history : corpus) {
-      scalar_logits.push_back(engine.run(history).logits);
+      scalar_logits.push_back(test::copy_logits(context.run_view(history)));
     }
   }
   if (saved == nullptr) {
@@ -473,7 +480,7 @@ TEST_P(DifferentialTest, PlanEmittedUnderScalarAdoptsUnderDispatch) {
       std::make_shared<const MmapModel>(path));
   EXPECT_TRUE(adopted->plan_adopted())
       << adopted->plan_fallback_reason();
-  InferenceEngine dispatched(adopted, tflite_profile());
+  ExecutionContext dispatched(adopted, tflite_profile());
   for (std::size_t r = 0; r < corpus.size(); ++r) {
     const InferenceView view = dispatched.run_view(corpus[r]);
     expect_bit_identical(view.logits, scalar_logits[r],
@@ -664,7 +671,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Eviction churn isolation at the serving layer: one "pinned" session is
 // touched every round (never the LRU victim) while a stream of throwaway
 // sessions churns a tiny store. After the storm, the pinned session's next
-// top-k must equal a sequential engine run over its exact in-order history
+// top-k must equal a sequential run_view() over its exact in-order history
 // — on both the 1-shard and the 3-shard scheduler.
 TEST(DifferentialSession, EvictionChurnNeverCorruptsASurvivor) {
   ModelConfig mc;
@@ -681,7 +688,8 @@ TEST(DifferentialSession, EvictionChurnNeverCorruptsASurvivor) {
   rec.export_mcm(p.string(), DType::kI4G, "churn");
   {
     const MmapModel model(p.string());
-    InferenceEngine reference(model, tflite_profile());
+    ExecutionContext reference(std::make_shared<const CompiledModel>(model),
+                               tflite_profile());
     for (const int shards : {1, 3}) {
       AsyncServerConfig config;
       config.threads = shards;
@@ -721,9 +729,9 @@ TEST(DifferentialSession, EvictionChurnNeverCorruptsASurvivor) {
             pinned_history.begin(),
             pinned_history.end() - 8);  // ring keeps the newest 8
       }
-      const Tensor logits = reference.run(pinned_history).logits;
+      const InferenceView view = reference.run_view(pinned_history);
       const std::vector<ScoredId> expect =
-          topk_select(logits.data(), logits.numel(), 5);
+          topk_select(view.logits, view.dim, 5);
       ASSERT_EQ(result.top_ids.size(), expect.size()) << shards << " shard(s)";
       for (std::size_t j = 0; j < expect.size(); ++j) {
         EXPECT_EQ(result.top_ids[j], expect[j].id)
@@ -735,7 +743,7 @@ TEST(DifferentialSession, EvictionChurnNeverCorruptsASurvivor) {
 }
 
 // The memory metering of the UNCACHED path must be unaffected by the cache
-// machinery existing at all: byte-identical to an engine that never had the
+// machinery existing at all: byte-identical to a context that never had the
 // hook (this pins the PR-2 accounting).
 TEST(DifferentialMetering, UncachedMeteringUnchangedByCacheHook) {
   for (const TechniqueKind kind : kAllEngineTechniques) {
@@ -759,8 +767,10 @@ TEST(DifferentialMetering, UncachedMeteringUnchangedByCacheHook) {
     {
       const MmapModel mapped(p.string());
       const auto corpus = edge_case_corpus();
-      InferenceEngine uncached(mapped, tflite_profile());
-      InferenceEngine cached(mapped, tflite_profile());
+      ExecutionContext uncached(std::make_shared<const CompiledModel>(mapped),
+                                tflite_profile());
+      ExecutionContext cached(std::make_shared<const CompiledModel>(mapped),
+                              tflite_profile());
       cached.enable_row_cache(kCacheBudget);
       for (const auto& history : corpus) {
         uncached.run_view(history);

@@ -1,6 +1,8 @@
-// On-device engine tests: parity with the training stack's inference,
-// lookup vs one-hot memory behaviour, device profiles, quantized execution.
-#include "ondevice/engine.h"
+// On-device forward tests (ExecutionContext over a CompiledModel): parity
+// with the training stack's inference, lookup vs one-hot memory behaviour,
+// device profiles, quantized execution, and the LatencyStats summary that
+// benchmark() returns (ondevice/clock.h).
+#include "ondevice/execution_context.h"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,7 @@
 #include <filesystem>
 
 #include "data/synthetic.h"
+#include "ondevice/clock.h"
 #include "repro/model.h"
 
 namespace memcom {
@@ -91,9 +94,10 @@ TEST_P(EngineParity, LogitsMatchTrainingStack) {
   const Tensor expected = model.forward(input, /*training=*/false);
 
   const MmapModel mapped(path);
-  InferenceEngine engine(mapped, coreml_profile("cpuOnly"));
-  const InferenceResult result = engine.run(history);
-  ASSERT_EQ(result.logits.numel(), 40);
+  ExecutionContext engine(std::make_shared<const CompiledModel>(mapped),
+                          coreml_profile("cpuOnly"));
+  const InferenceView result = engine.run_view(history);
+  ASSERT_EQ(result.dim, 40);
   for (Index c = 0; c < 40; ++c) {
     EXPECT_NEAR(result.logits[c], expected.at2(0, c), 5e-4f)
         << technique_name(param.kind) << " logit " << c;
@@ -137,9 +141,10 @@ TEST_F(EngineTest, WeinbergerOneHotMatchesLookupMath) {
   const Tensor expected = model.forward(input, /*training=*/false);
 
   const MmapModel mapped(path);
-  InferenceEngine engine(mapped, coreml_profile("all"));
-  EXPECT_TRUE(engine.uses_onehot_path());
-  const InferenceResult result = engine.run(history);
+  ExecutionContext engine(std::make_shared<const CompiledModel>(mapped),
+                          coreml_profile("all"));
+  EXPECT_TRUE(engine.compiled().uses_onehot_path());
+  const InferenceView result = engine.run_view(history);
   for (Index c = 0; c < 40; ++c) {
     EXPECT_NEAR(result.logits[c], expected.at2(0, c), 5e-4f);
   }
@@ -162,12 +167,14 @@ TEST_F(EngineTest, MemcomTouchesFarFewerPagesThanWeinberger) {
 
   const std::vector<std::int32_t> history = sample_history();
   const MmapModel memcom_model(memcom_path);
-  InferenceEngine memcom_engine(memcom_model, tflite_profile());
-  memcom_engine.run(history);
+  ExecutionContext memcom_engine(
+      std::make_shared<const CompiledModel>(memcom_model), tflite_profile());
+  memcom_engine.run_view(history);
 
   const MmapModel wein_model(wein_path);
-  InferenceEngine wein_engine(wein_model, tflite_profile());
-  wein_engine.run(history);
+  ExecutionContext wein_engine(
+      std::make_shared<const CompiledModel>(wein_model), tflite_profile());
+  wein_engine.run_view(history);
 
   // Weinberger streams the whole 1000 x 64 x 4B table; memcom touches only
   // the history's rows (plus trunk weights, identical for both).
@@ -185,12 +192,13 @@ TEST_F(EngineTest, RepeatRunsDoNotGrowResidency) {
   const std::string path = temp_path("repeat");
   model.export_mcm(path);
   const MmapModel mapped(path);
-  InferenceEngine engine(mapped, coreml_profile("all"));
+  ExecutionContext engine(std::make_shared<const CompiledModel>(mapped),
+                          coreml_profile("all"));
   const std::vector<std::int32_t> history = sample_history();
-  engine.run(history);
+  engine.run_view(history);
   const Index after_one = engine.meter().weight_resident_bytes();
-  engine.run(history);
-  engine.run(history);
+  engine.run_view(history);
+  engine.run_view(history);
   EXPECT_EQ(engine.meter().weight_resident_bytes(), after_one);
 }
 
@@ -206,8 +214,9 @@ TEST_F(EngineTest, QuantizedModelsStayAccurate) {
   const std::string p16 = temp_path("q16");
   model.export_mcm(p16, DType::kF16);
   const MmapModel m16(p16);
-  InferenceEngine e16(m16, coreml_profile("all"));
-  const Tensor l16 = e16.run(history).logits;
+  ExecutionContext e16(std::make_shared<const CompiledModel>(m16),
+                       coreml_profile("all"));
+  const Tensor l16 = test::copy_logits(e16.run_view(history));
   for (Index c = 0; c < 40; ++c) {
     EXPECT_NEAR(l16[c], expected.at2(0, c), 0.02f);
   }
@@ -215,8 +224,9 @@ TEST_F(EngineTest, QuantizedModelsStayAccurate) {
   const std::string p8 = temp_path("q8");
   model.export_mcm(p8, DType::kI8);
   const MmapModel m8(p8);
-  InferenceEngine e8(m8, coreml_profile("all"));
-  const Tensor l8 = e8.run(history).logits;
+  ExecutionContext e8(std::make_shared<const CompiledModel>(m8),
+                      coreml_profile("all"));
+  const Tensor l8 = test::copy_logits(e8.run_view(history));
   // int8 logits drift but the argmax ordering of the top item should
   // usually survive; assert bounded absolute drift.
   for (Index c = 0; c < 40; ++c) {
@@ -243,7 +253,8 @@ TEST_F(EngineTest, BenchmarkStatsAreConsistent) {
   const std::string path = temp_path("bench");
   model.export_mcm(path);
   const MmapModel mapped(path);
-  InferenceEngine engine(mapped, tflite_profile());
+  ExecutionContext engine(std::make_shared<const CompiledModel>(mapped),
+                          tflite_profile());
   const LatencyStats stats = engine.benchmark(sample_history(), 10);
   EXPECT_EQ(stats.runs, 10);
   EXPECT_GT(stats.mean_ms, 0.0);
@@ -317,10 +328,11 @@ TEST_F(EngineTest, PaddedHistoryIgnoredInPooling) {
   const std::string path = temp_path("pad");
   model.export_mcm(path);
   const MmapModel mapped(path);
-  InferenceEngine engine(mapped, coreml_profile("all"));
+  ExecutionContext engine(std::make_shared<const CompiledModel>(mapped),
+                          coreml_profile("all"));
   // Same real ids, different padding amounts -> identical logits.
-  const Tensor a = engine.run({5, 9, 0, 0}).logits;
-  const Tensor b = engine.run({5, 9, 0, 0, 0, 0, 0, 0}).logits;
+  const Tensor a = test::copy_logits(engine.run_view({5, 9, 0, 0}));
+  const Tensor b = test::copy_logits(engine.run_view({5, 9, 0, 0, 0, 0, 0, 0}));
   EXPECT_TENSOR_NEAR(a, b, 1e-5f);
 }
 

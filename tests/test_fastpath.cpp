@@ -1,8 +1,9 @@
-// Enforcement tests for the zero-allocation inference fast path:
-//   * steady-state run() performs NO string-keyed tensor lookups (the
+// Enforcement tests for ExecutionContext's zero-allocation fast path:
+//   * steady-state forwards perform NO string-keyed tensor lookups (the
 //     execution plan resolves every handle at construction);
 //   * steady-state run_view() performs NO heap allocations (scratch arena);
-//   * run_batch() is bit-identical to sequential run() for every technique;
+//   * run_batch() is bit-identical to sequential run_view() for every
+//     technique;
 //   * the memory meter's resident-byte accounting is unchanged by the fast
 //     path (batched and sequential runs meter the same pages).
 #include <gtest/gtest.h>
@@ -13,7 +14,7 @@
 #include <new>
 #include <vector>
 
-#include "ondevice/engine.h"
+#include "ondevice/execution_context.h"
 #include "repro/model.h"
 #include "test_util.h"
 
@@ -116,18 +117,18 @@ TEST_F(FastPathTest, SteadyStateRunPerformsNoEntryLookups) {
     model.export_mcm(path);
 
     const MmapModel mapped(path);
-    InferenceEngine engine(mapped, coreml_profile("cpuOnly"));
+    ExecutionContext context(std::make_shared<const CompiledModel>(mapped),
+                             coreml_profile("cpuOnly"));
     // Plan compilation is allowed (and expected) to resolve names...
     EXPECT_GT(mapped.entry_lookup_count(), 0u) << technique_name(kind);
     const std::uint64_t after_compile = mapped.entry_lookup_count();
     // ...but steady-state forwards must not touch the string directory.
     const auto histories = sample_histories();
     for (const auto& history : histories) {
-      engine.run(history);
-      engine.run_view(history);
+      context.run_view(history);
     }
-    engine.run_batch(histories);
-    engine.benchmark(histories.front(), 5);
+    context.run_batch(histories);
+    context.benchmark(histories.front(), 5);
     EXPECT_EQ(mapped.entry_lookup_count(), after_compile)
         << technique_name(kind);
   }
@@ -143,20 +144,21 @@ TEST_F(FastPathTest, SteadyStateRunViewIsAllocationFree) {
     model.export_mcm(path);
 
     const MmapModel mapped(path);
-    InferenceEngine engine(mapped, tflite_profile());
+    ExecutionContext context(std::make_shared<const CompiledModel>(mapped),
+                             tflite_profile());
     const auto histories = sample_histories();
     // Warm up: the first runs fault weight pages into the meter's page set
     // (node allocations) — steady state begins once the set is populated.
     for (int i = 0; i < 2; ++i) {
       for (const auto& history : histories) {
-        engine.run_view(history);
+        context.run_view(history);
       }
     }
     g_alloc_count.store(0, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
     for (int i = 0; i < 3; ++i) {
       for (const auto& history : histories) {
-        engine.run_view(history);
+        context.run_view(history);
       }
     }
     g_count_allocs.store(false, std::memory_order_relaxed);
@@ -177,15 +179,18 @@ TEST_F(FastPathTest, RunBatchLogitsBitIdenticalToSequentialRuns) {
       model.export_mcm(path);
 
       const MmapModel mapped(path);
-      InferenceEngine sequential(mapped, coreml_profile("all"));
-      InferenceEngine batched(mapped, coreml_profile("all"));
+      ExecutionContext sequential(std::make_shared<const CompiledModel>(mapped),
+                                  coreml_profile("all"));
+      ExecutionContext batched(std::make_shared<const CompiledModel>(mapped),
+                               coreml_profile("all"));
       const auto histories = sample_histories();
       const BatchResult batch = batched.run_batch(histories);
       ASSERT_EQ(batch.batch, static_cast<Index>(histories.size()));
       for (std::size_t b = 0; b < histories.size(); ++b) {
-        const Tensor expected = sequential.run(histories[b]).logits;
-        for (Index c = 0; c < expected.numel(); ++c) {
-          EXPECT_EQ(batch.logits.at2(static_cast<Index>(b), c), expected[c])
+        const InferenceView expected = sequential.run_view(histories[b]);
+        for (Index c = 0; c < expected.dim; ++c) {
+          EXPECT_EQ(batch.logits.at2(static_cast<Index>(b), c),
+                    expected.logits[c])
               << technique_name(kind) << " request " << b << " logit " << c;
         }
       }
@@ -201,16 +206,17 @@ TEST_F(FastPathTest, BatchAmortizesDispatchOverhead) {
   model.export_mcm(path);
   const MmapModel mapped(path);
   // tflite profile has a nonzero per-op dispatch overhead.
-  InferenceEngine engine(mapped, tflite_profile());
+  ExecutionContext context(std::make_shared<const CompiledModel>(mapped),
+                           tflite_profile());
   const auto histories = sample_histories();
   double sequential_ms = 0.0;
   Index per_run_ops = 0;
   for (const auto& history : histories) {
-    const InferenceResult r = engine.run(history);
+    const InferenceView r = context.run_view(history);
     sequential_ms += r.total_ms;
     per_run_ops = r.op_count;
   }
-  const BatchResult batch = engine.run_batch(histories);
+  const BatchResult batch = context.run_batch(histories);
   // One fused dispatch for the batch: same per-graph op count, and the
   // simulated batch latency drops below the sequential sum because (B-1)
   // dispatch charges disappear.
@@ -227,11 +233,13 @@ TEST_F(FastPathTest, MeterAccountingUnchangedByBatchedFastPath) {
     model.export_mcm(path);
 
     const MmapModel mapped(path);
-    InferenceEngine sequential(mapped, tflite_profile());
-    InferenceEngine batched(mapped, tflite_profile());
+    ExecutionContext sequential(std::make_shared<const CompiledModel>(mapped),
+                                tflite_profile());
+    ExecutionContext batched(std::make_shared<const CompiledModel>(mapped),
+                             tflite_profile());
     const auto histories = sample_histories();
     for (const auto& history : histories) {
-      sequential.run(history);
+      sequential.run_view(history);
     }
     batched.run_batch(histories);
     EXPECT_EQ(sequential.meter().touched_pages(),
@@ -253,8 +261,9 @@ TEST_F(FastPathTest, BenchmarkReportsOrderedPercentiles) {
   const std::string path = temp_path("percentiles");
   model.export_mcm(path);
   const MmapModel mapped(path);
-  InferenceEngine engine(mapped, tflite_profile());
-  const LatencyStats stats = engine.benchmark(sample_histories().front(), 50);
+  ExecutionContext context(std::make_shared<const CompiledModel>(mapped),
+                           tflite_profile());
+  const LatencyStats stats = context.benchmark(sample_histories().front(), 50);
   EXPECT_EQ(stats.runs, 50);
   EXPECT_GT(stats.min_ms, 0.0);
   EXPECT_LE(stats.min_ms, stats.p50_ms);
@@ -266,7 +275,7 @@ TEST_F(FastPathTest, BenchmarkReportsOrderedPercentiles) {
 
   // Degenerate single-run distribution: every statistic collapses to the
   // one sample (this also covers the old 1e30 sentinel-min bug).
-  const LatencyStats one = engine.benchmark(sample_histories().front(), 1);
+  const LatencyStats one = context.benchmark(sample_histories().front(), 1);
   EXPECT_EQ(one.runs, 1);
   EXPECT_DOUBLE_EQ(one.min_ms, one.max_ms);
   EXPECT_DOUBLE_EQ(one.min_ms, one.mean_ms);
@@ -283,14 +292,17 @@ TEST_F(FastPathTest, QuantizedModelsUseTheSamePlanMachinery) {
   const std::string path = temp_path("quant");
   model.export_mcm(path, DType::kI8);
   const MmapModel mapped(path);
-  InferenceEngine sequential(mapped, coreml_profile("all"));
-  InferenceEngine batched(mapped, coreml_profile("all"));
+  ExecutionContext sequential(std::make_shared<const CompiledModel>(mapped),
+                              coreml_profile("all"));
+  ExecutionContext batched(std::make_shared<const CompiledModel>(mapped),
+                           coreml_profile("all"));
   const auto histories = sample_histories();
   const BatchResult batch = batched.run_batch(histories);
   for (std::size_t b = 0; b < histories.size(); ++b) {
-    const Tensor expected = sequential.run(histories[b]).logits;
-    for (Index c = 0; c < expected.numel(); ++c) {
-      EXPECT_EQ(batch.logits.at2(static_cast<Index>(b), c), expected[c]);
+    const InferenceView expected = sequential.run_view(histories[b]);
+    for (Index c = 0; c < expected.dim; ++c) {
+      EXPECT_EQ(batch.logits.at2(static_cast<Index>(b), c),
+                expected.logits[c]);
     }
   }
   EXPECT_EQ(sequential.meter().weight_resident_bytes(),

@@ -13,7 +13,7 @@
 
 #include "core/rng.h"
 #include "core/serialize.h"
-#include "ondevice/engine.h"
+#include "ondevice/compiled_model.h"
 #include "ondevice/memory_meter.h"
 #include "ondevice/registry.h"
 
@@ -210,7 +210,7 @@ TEST_F(FormatTest, OutputWithoutLayoutStampRefusedAtLoad) {
           << e.what();
     }
   };
-  expect_refused([&] { InferenceEngine engine(model, tflite_profile()); });
+  expect_refused([&] { CompiledModel compiled(model); });
   expect_refused([&] { ModelRegistry().load("m", path); });
   expect_refused([&] { build_catalog_index_for_model(model); });
 }
@@ -567,7 +567,7 @@ TEST_F(FormatTest, NonNumericMetadataIntRejected) {
 
 namespace {
 // A structurally valid single-tensor model whose `technique` metadata is
-// caller-chosen: enough for InferenceEngine construction to reach (and
+// caller-chosen: enough for CompiledModel construction to reach (and
 // reject) the technique resolution.
 void write_model_with_technique(const std::string& path,
                                 const std::string& technique) {
@@ -588,8 +588,7 @@ TEST_F(FormatTest, UnknownTechniqueStringRejectedByEngine) {
   const std::string path = temp_path();
   write_model_with_technique(path, "snake_oil");
   const MmapModel model(path);
-  EXPECT_THROW(InferenceEngine engine(model, tflite_profile()),
-               std::runtime_error);
+  EXPECT_THROW(CompiledModel compiled(model), std::runtime_error);
 }
 
 TEST_F(FormatTest, RegistryTechniqueUnsupportedByEngineRejected) {
@@ -598,8 +597,7 @@ TEST_F(FormatTest, RegistryTechniqueUnsupportedByEngineRejected) {
   const std::string path = temp_path();
   write_model_with_technique(path, "hashed_nets");
   const MmapModel model(path);
-  EXPECT_THROW(InferenceEngine engine(model, tflite_profile()),
-               std::runtime_error);
+  EXPECT_THROW(CompiledModel compiled(model), std::runtime_error);
 }
 
 TEST(MemoryMeterUnit, PageCountingAndReset) {

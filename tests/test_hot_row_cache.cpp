@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "embedding/id_batch.h"
-#include "ondevice/engine.h"
+#include "ondevice/execution_context.h"
 #include "repro/model.h"
 
 namespace memcom {
@@ -89,8 +89,10 @@ TEST(HotRowCacheBudget, TinyBudgetEngineStillBitIdentical) {
   model.export_mcm(path, DType::kI8);
 
   const MmapModel mapped(path);
-  InferenceEngine plain(mapped, tflite_profile());
-  InferenceEngine tiny(mapped, tflite_profile());
+  ExecutionContext plain(std::make_shared<const CompiledModel>(mapped),
+                         tflite_profile());
+  ExecutionContext tiny(std::make_shared<const CompiledModel>(mapped),
+                        tflite_profile());
   // 300 bytes across {32, 1, 1}-wide partitions: the 32-wide shared rows
   // cost 136 bytes/slot > the 100-byte share — bypassed; the width-1
   // multiplier and bias tables still cache.

@@ -6,7 +6,7 @@
 #include <filesystem>
 
 #include "data/synthetic.h"
-#include "ondevice/engine.h"
+#include "ondevice/execution_context.h"
 #include "repro/sweep.h"
 #include "repro/trainer.h"
 
@@ -48,7 +48,8 @@ TEST(Integration, TrainExportInferAgreesWithTrainer) {
   const std::string path = temp_file("pipeline");
   model.export_mcm(path, DType::kF32);
   const MmapModel mapped(path);
-  InferenceEngine engine(mapped, coreml_profile("cpuOnly"));
+  ExecutionContext engine(std::make_shared<const CompiledModel>(mapped),
+                          coreml_profile("cpuOnly"));
 
   // Engine argmax must equal trainer argmax on every eval sample.
   Index agree = 0;
@@ -56,14 +57,14 @@ TEST(Integration, TrainExportInferAgreesWithTrainer) {
   for (Index i = 0; i < n; ++i) {
     const Batch single = make_batch(data.eval(), i, 1);
     const Tensor trainer_logits = model.forward(single.inputs, false);
-    const Tensor engine_logits = engine.run(single.inputs.ids).logits;
+    const InferenceView engine_logits = engine.run_view(single.inputs.ids);
     Index trainer_best = 0;
     Index engine_best = 0;
     for (Index c = 1; c < data.output_vocab(); ++c) {
       if (trainer_logits.at2(0, c) > trainer_logits.at2(0, trainer_best)) {
         trainer_best = c;
       }
-      if (engine_logits[c] > engine_logits[engine_best]) {
+      if (engine_logits.logits[c] > engine_logits.logits[engine_best]) {
         engine_best = c;
       }
     }
@@ -172,10 +173,11 @@ TEST(Integration, SweepThenDeployBestModel) {
   const std::string path = temp_file("deploy");
   model.export_mcm(path, DType::kF16);
   const MmapModel mapped(path);
-  InferenceEngine engine(mapped, tflite_profile());
+  ExecutionContext engine(std::make_shared<const CompiledModel>(mapped),
+                          tflite_profile());
   const Batch sample = make_batch(data.eval(), 0, 1);
-  const InferenceResult result = engine.run(sample.inputs.ids);
-  EXPECT_EQ(result.logits.numel(), data.output_vocab());
+  const InferenceView result = engine.run_view(sample.inputs.ids);
+  EXPECT_EQ(result.dim, data.output_vocab());
   EXPECT_GT(engine.resident_megabytes(), 0.0);
   std::filesystem::remove(path);
 }

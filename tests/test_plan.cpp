@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/serialize.h"
-#include "ondevice/engine.h"
+#include "ondevice/execution_context.h"
 #include "repro/model.h"
 #include "test_util.h"
 
@@ -97,14 +97,15 @@ class PlanTest : public ::testing::Test {
         << fallback->plan_fallback_reason();
     auto forced = std::make_shared<const CompiledModel>(
         mapped, PlanPolicy::kNeverAdopt);
-    InferenceEngine a(fallback, tflite_profile());
-    InferenceEngine b(forced, tflite_profile());
+    ExecutionContext a(fallback, tflite_profile());
+    ExecutionContext b(forced, tflite_profile());
     for (const auto& history : small_corpus()) {
-      const Tensor got = a.run(history).logits;
-      const Tensor want = b.run(history).logits;
-      ASSERT_EQ(got.numel(), want.numel());
-      for (Index c = 0; c < want.numel(); ++c) {
-        EXPECT_EQ(got[c], want[c]) << reason_substr << " logit " << c;
+      const InferenceView got = a.run_view(history);
+      const InferenceView want = b.run_view(history);
+      ASSERT_EQ(got.dim, want.dim);
+      for (Index c = 0; c < want.dim; ++c) {
+        EXPECT_EQ(got.logits[c], want.logits[c])
+            << reason_substr << " logit " << c;
       }
     }
   }
@@ -258,14 +259,14 @@ TEST_F(PlanTest, AdoptedPlanServesBitIdenticalToFullCompile) {
       mapped, PlanPolicy::kNeverAdopt);
   EXPECT_FALSE(compiled->plan_adopted());
   EXPECT_EQ(compiled->plan_fallback_reason(), "plan adoption disabled");
-  InferenceEngine a(adopted, tflite_profile());
-  InferenceEngine b(compiled, tflite_profile());
+  ExecutionContext a(adopted, tflite_profile());
+  ExecutionContext b(compiled, tflite_profile());
   for (const auto& history : small_corpus()) {
-    const Tensor got = a.run(history).logits;
-    const Tensor want = b.run(history).logits;
-    ASSERT_EQ(got.numel(), want.numel());
-    for (Index c = 0; c < want.numel(); ++c) {
-      EXPECT_EQ(got[c], want[c]) << c;
+    const InferenceView got = a.run_view(history);
+    const InferenceView want = b.run_view(history);
+    ASSERT_EQ(got.dim, want.dim);
+    for (Index c = 0; c < want.dim; ++c) {
+      EXPECT_EQ(got.logits[c], want.logits[c]) << c;
     }
   }
 }

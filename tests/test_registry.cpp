@@ -17,7 +17,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "ondevice/engine.h"
+#include "ondevice/execution_context.h"
 #include "repro/model.h"
 #include "test_util.h"
 
@@ -161,8 +161,9 @@ TEST_F(RegistryTest, OldVersionServesBitIdenticalUntilDrained) {
   Tensor expected_v1;
   {
     const MmapModel mapped(v1);
-    InferenceEngine reference(mapped, tflite_profile());
-    expected_v1 = reference.run(history).logits;
+    ExecutionContext reference(std::make_shared<const CompiledModel>(mapped),
+                               tflite_profile());
+    expected_v1 = test::copy_logits(reference.run_view(history));
   }
 
   auto old_plan = registry.acquire("m");
@@ -172,15 +173,15 @@ TEST_F(RegistryTest, OldVersionServesBitIdenticalUntilDrained) {
   {
     // In-flight work on the old version: still bit-identical to v1 (the
     // registry owns the v1 mapping through the plan, so the mmap is alive).
-    InferenceEngine old_engine(old_plan, tflite_profile());
-    old_logits = old_engine.run(history).logits;
+    ExecutionContext old_engine(old_plan, tflite_profile());
+    old_logits = test::copy_logits(old_engine.run_view(history));
     EXPECT_TENSOR_NEAR(old_logits, expected_v1, 0.0f);
     EXPECT_GT(old_plan.use_count(), 1);  // the engine pins the old version
   }
 
   // New acquisitions serve v2 — different weights, different logits.
-  InferenceEngine new_engine(registry.acquire("m"), tflite_profile());
-  const Tensor new_logits = new_engine.run(history).logits;
+  ExecutionContext new_engine(registry.acquire("m"), tflite_profile());
+  const Tensor new_logits = test::copy_logits(new_engine.run_view(history));
   bool any_diff = false;
   for (Index c = 0; c < new_logits.numel(); ++c) {
     any_diff = any_diff || new_logits[c] != old_logits[c];
@@ -201,17 +202,17 @@ TEST_F(RegistryTest, EnginesShareOnePlanWithoutDuplication) {
   const std::size_t plan_bytes = plan->plan_resident_bytes();
   EXPECT_GT(plan_bytes, 0u);
 
-  // N engines over the acquired plan: the registry-wide plan footprint does
+  // N contexts over the acquired plan: the registry-wide plan footprint does
   // not grow — only per-thread context state does.
-  std::vector<std::unique_ptr<InferenceEngine>> engines;
+  std::vector<std::unique_ptr<ExecutionContext>> contexts;
   for (int i = 0; i < 4; ++i) {
-    engines.push_back(
-        std::make_unique<InferenceEngine>(plan, tflite_profile()));
+    contexts.push_back(
+        std::make_unique<ExecutionContext>(plan, tflite_profile()));
   }
   EXPECT_EQ(registry.plan_resident_bytes(), plan_bytes);
-  for (const auto& engine : engines) {
-    EXPECT_EQ(&engine->compiled(), plan.get());
-    EXPECT_EQ(engine->plan_resident_bytes(), plan_bytes);
+  for (const auto& context : contexts) {
+    EXPECT_EQ(&context->compiled(), plan.get());
+    EXPECT_EQ(context->compiled().plan_resident_bytes(), plan_bytes);
   }
 }
 
@@ -232,12 +233,12 @@ TEST_F(RegistryTest, LoadTakesPlanFastPathAndServesIdentically) {
   EXPECT_FALSE(registry.plan_adopted("slow"));
   EXPECT_FALSE(registry.plan_adopted("unknown"));
 
-  InferenceEngine fast(registry.acquire("fast"), tflite_profile());
-  InferenceEngine slow(registry.acquire("slow"), tflite_profile());
+  ExecutionContext fast(registry.acquire("fast"), tflite_profile());
+  ExecutionContext slow(registry.acquire("slow"), tflite_profile());
   for (const std::vector<std::int32_t>& history :
        {std::vector<std::int32_t>{}, {1}, {3, 17, 42, 0, 0}, {9, 9, 9}}) {
-    const Tensor a = fast.run(history).logits;
-    const Tensor b = slow.run(history).logits;
+    const Tensor a = test::copy_logits(fast.run_view(history));
+    const Tensor b = test::copy_logits(slow.run_view(history));
     EXPECT_TENSOR_NEAR(a, b, 0.0f);
   }
 }

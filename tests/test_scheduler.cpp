@@ -93,7 +93,8 @@ TEST_F(SchedulerTest, ShedPropagatesThroughFuturesWithZeroLoss) {
   config.queue_capacity = 2;
   AsyncServer server(model, tflite_profile(), config);
 
-  InferenceEngine reference(model, tflite_profile());
+  ExecutionContext reference(std::make_shared<const CompiledModel>(model),
+                             tflite_profile());
   std::mt19937 rng(21);
   struct Submitted {
     std::vector<std::int32_t> history;
@@ -126,10 +127,11 @@ TEST_F(SchedulerTest, ShedPropagatesThroughFuturesWithZeroLoss) {
       EXPECT_EQ(result.service_ms, 0.0);
     } else {
       ++ok;
-      const Tensor expected = reference.run(s.history).logits;
-      ASSERT_EQ(static_cast<Index>(result.logits.size()), expected.numel());
-      for (Index c = 0; c < expected.numel(); ++c) {
-        EXPECT_EQ(result.logits[static_cast<std::size_t>(c)], expected[c]);
+      const InferenceView expected = reference.run_view(s.history);
+      ASSERT_EQ(static_cast<Index>(result.logits.size()), expected.dim);
+      for (Index c = 0; c < expected.dim; ++c) {
+        EXPECT_EQ(result.logits[static_cast<std::size_t>(c)],
+                  expected.logits[c]);
       }
     }
   }
@@ -267,6 +269,51 @@ TEST_F(SchedulerTest, ShedRateAndGoodputReportedUnderOverload) {
   EXPECT_GT(report.qps, 0.0);
 }
 
+TEST_F(SchedulerTest, BatchAndModeledRatesCountExecutedRequestsOnly) {
+  // Shed requests never join a micro-batch or run on a device, so the
+  // per-batch and per-device rates must divide the EXECUTED count — the
+  // same figure the per-model rows divide.
+  const std::string path = export_model(TechniqueKind::kMemcom, "executed");
+  const MmapModel model(path);
+
+  AsyncServerConfig config;
+  config.threads = 1;
+  config.max_batch = 2;
+  config.max_delay_us = 0.0;
+  config.deadline_us = 0.001;
+  config.shed = true;
+  config.queue_capacity = 4;
+  AsyncServer server(model, tflite_profile(), config);
+
+  std::mt19937 rng(26);
+  std::vector<std::vector<std::int32_t>> corpus;
+  for (int i = 0; i < 32; ++i) {
+    corpus.push_back(random_history(rng));
+  }
+  const ServingReport report = server.serve(corpus, 8);
+  ASSERT_GT(report.shed, 0u);
+  ASSERT_GT(report.batches, 0u);
+  const std::uint64_t executed = report.requests - report.shed;
+  EXPECT_LE(report.mean_batch, static_cast<double>(config.max_batch));
+  EXPECT_DOUBLE_EQ(report.mean_batch, static_cast<double>(executed) /
+                                          static_cast<double>(report.batches));
+  EXPECT_DOUBLE_EQ(report.modeled_qps,
+                   static_cast<double>(executed) /
+                       (report.modeled_busy_ms / 1000.0));
+
+  std::uint64_t model_requests = 0;
+  std::uint64_t model_batches = 0;
+  for (const ModelReport& m : report.per_model) {
+    model_requests += m.requests;
+    model_batches += m.batches;
+  }
+  EXPECT_EQ(model_requests, executed);
+  EXPECT_EQ(model_batches, report.batches);
+  EXPECT_DOUBLE_EQ(report.mean_batch,
+                   static_cast<double>(model_requests) /
+                       static_cast<double>(model_batches));
+}
+
 // --- Sharded scheduler / work stealing ------------------------------------
 
 TEST_F(SchedulerTest, ShardedSkewedLoadStealsDrainsAndMatchesSingleQueue) {
@@ -382,7 +429,8 @@ TEST_F(SchedulerTest, SessionHistoryAccumulatesAndRanksAgainstEngine) {
   config.session_capacity = 8;
   config.session_history = 4;
   AsyncServer server(model, tflite_profile(), config);
-  InferenceEngine reference(model, tflite_profile());
+  ExecutionContext reference(std::make_shared<const CompiledModel>(model),
+                             tflite_profile());
 
   // Four interactions of one session: request t must be served on the
   // history [items 0..t] (capped at session_history), and the returned
@@ -401,15 +449,15 @@ TEST_F(SchedulerTest, SessionHistoryAccumulatesAndRanksAgainstEngine) {
     if (window.size() > 4) {
       window.erase(window.begin());
     }
-    const Tensor logits = reference.run(window).logits;
+    const InferenceView view = reference.run_view(window);
     ASSERT_EQ(result.logits.size(),
-              static_cast<std::size_t>(logits.numel()));
-    for (Index c = 0; c < logits.numel(); ++c) {
-      EXPECT_EQ(result.logits[static_cast<std::size_t>(c)], logits[c])
+              static_cast<std::size_t>(view.dim));
+    for (Index c = 0; c < view.dim; ++c) {
+      EXPECT_EQ(result.logits[static_cast<std::size_t>(c)], view.logits[c])
           << "t=" << t << " logit " << c;
     }
     const std::vector<ScoredId> expect =
-        topk_select(logits.data(), logits.numel(), 5);
+        topk_select(view.logits, view.dim, 5);
     ASSERT_EQ(result.top_ids.size(), expect.size()) << "t=" << t;
     for (std::size_t j = 0; j < expect.size(); ++j) {
       EXPECT_EQ(result.top_ids[j], expect[j].id) << "t=" << t << " pos " << j;
@@ -466,7 +514,8 @@ TEST_F(SchedulerTest, SessionAffinityKeepsUpdatesOrderedAcrossShards) {
   config.session_capacity = 64;
   config.session_history = 16;
   AsyncServer server(model, tflite_profile(), config);
-  InferenceEngine reference(model, tflite_profile());
+  ExecutionContext reference(std::make_shared<const CompiledModel>(model),
+                             tflite_profile());
 
   // Interleave many sessions' updates; every session's FINAL top-k must
   // match the engine run on that session's full in-order history, which
@@ -491,9 +540,9 @@ TEST_F(SchedulerTest, SessionAffinityKeepsUpdatesOrderedAcrossShards) {
                  .get();
       ASSERT_EQ(last.status, RequestStatus::kOk);
     }
-    const Tensor logits = reference.run(history).logits;
+    const InferenceView view = reference.run_view(history);
     const std::vector<ScoredId> expect =
-        topk_select(logits.data(), logits.numel(), 4);
+        topk_select(view.logits, view.dim, 4);
     ASSERT_EQ(last.top_ids.size(), expect.size()) << "session " << s;
     for (std::size_t j = 0; j < expect.size(); ++j) {
       EXPECT_EQ(last.top_ids[j], expect[j].id) << "session " << s;

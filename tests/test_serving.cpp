@@ -74,16 +74,17 @@ TEST_F(ServingTest, ThreadedHarnessMatchesSequentialEngineBitExact) {
     const MmapModel mapped(path);
     const auto requests = make_requests(24);
 
-    InferenceEngine sequential(mapped, tflite_profile());
+    ExecutionContext sequential(std::make_shared<const CompiledModel>(mapped),
+                                tflite_profile());
     ServingHarness harness(mapped, tflite_profile(), 4);
     Tensor served;
     const ServingReport report = harness.serve(requests, 1, &served);
     ASSERT_EQ(report.requests, 24u);
     ASSERT_EQ(served.dim(0), 24);
     for (std::size_t r = 0; r < requests.size(); ++r) {
-      const Tensor expected = sequential.run(requests[r]).logits;
-      for (Index c = 0; c < expected.numel(); ++c) {
-        EXPECT_EQ(served.at2(static_cast<Index>(r), c), expected[c])
+      const InferenceView expected = sequential.run_view(requests[r]);
+      for (Index c = 0; c < expected.dim; ++c) {
+        EXPECT_EQ(served.at2(static_cast<Index>(r), c), expected.logits[c])
             << technique_name(kind) << " request " << r << " logit " << c;
       }
     }
@@ -95,14 +96,15 @@ TEST_F(ServingTest, SingleThreadHarnessMatchesToo) {
       export_model(TechniqueKind::kMemcom, ModelArch::kRanking, "single");
   const MmapModel mapped(path);
   const auto requests = make_requests(10);
-  InferenceEngine sequential(mapped, coreml_profile("all"));
+  ExecutionContext sequential(std::make_shared<const CompiledModel>(mapped),
+                              coreml_profile("all"));
   ServingHarness harness(mapped, coreml_profile("all"), 1);
   Tensor served;
   harness.serve(requests, 1, &served);
   for (std::size_t r = 0; r < requests.size(); ++r) {
-    const Tensor expected = sequential.run(requests[r]).logits;
-    for (Index c = 0; c < expected.numel(); ++c) {
-      EXPECT_EQ(served.at2(static_cast<Index>(r), c), expected[c]);
+    const InferenceView expected = sequential.run_view(requests[r]);
+    for (Index c = 0; c < expected.dim; ++c) {
+      EXPECT_EQ(served.at2(static_cast<Index>(r), c), expected.logits[c]);
     }
   }
 }
@@ -176,16 +178,18 @@ TEST_F(ServingTest, PlanCompiledOnceAndSharedAcrossWorkers) {
       TechniqueKind::kFactorized, ModelArch::kClassification, "sharedplan");
   const MmapModel mapped(path);
 
-  InferenceEngine single(mapped, tflite_profile());
-  const std::size_t one_plan = single.plan_resident_bytes();
+  ExecutionContext single(std::make_shared<const CompiledModel>(mapped),
+                          tflite_profile());
+  const std::size_t one_plan = single.compiled().plan_resident_bytes();
   ASSERT_GT(one_plan, 0u);
 
   // The PR-3 layout compiled one private plan per worker: N x one_plan.
   constexpr int kWorkers = 4;
   std::size_t duplicated = 0;
   for (int i = 0; i < kWorkers; ++i) {
-    InferenceEngine private_engine(mapped, tflite_profile());
-    duplicated += private_engine.plan_resident_bytes();
+    ExecutionContext private_context(
+        std::make_shared<const CompiledModel>(mapped), tflite_profile());
+    duplicated += private_context.compiled().plan_resident_bytes();
   }
   EXPECT_EQ(duplicated, static_cast<std::size_t>(kWorkers) * one_plan);
 
@@ -195,19 +199,20 @@ TEST_F(ServingTest, PlanCompiledOnceAndSharedAcrossWorkers) {
   EXPECT_EQ(harness.plan_resident_bytes(), one_plan);
   EXPECT_LT(harness.plan_resident_bytes(), duplicated);
   for (int w = 0; w < harness.threads(); ++w) {
-    EXPECT_EQ(&harness.engine(w).compiled(), &harness.compiled());
+    EXPECT_EQ(&harness.context(w).compiled(), &harness.compiled());
   }
 
   // ...and the shared plan still serves bit-identical logits with the
   // page-touch metering of the uncached path unchanged per worker.
   const auto requests = make_requests(12);
-  InferenceEngine reference(mapped, tflite_profile());
+  ExecutionContext reference(std::make_shared<const CompiledModel>(mapped),
+                             tflite_profile());
   Tensor served;
   harness.serve(requests, 1, &served);
   for (std::size_t r = 0; r < requests.size(); ++r) {
-    const Tensor expected = reference.run(requests[r]).logits;
-    for (Index c = 0; c < expected.numel(); ++c) {
-      EXPECT_EQ(served.at2(static_cast<Index>(r), c), expected[c]);
+    const InferenceView expected = reference.run_view(requests[r]);
+    for (Index c = 0; c < expected.dim; ++c) {
+      EXPECT_EQ(served.at2(static_cast<Index>(r), c), expected.logits[c]);
     }
   }
 }
@@ -223,7 +228,7 @@ TEST_F(ServingTest, WorkersMeterIndependently) {
   harness.serve(requests, 2);
   Index served_by_someone = 0;
   for (int w = 0; w < harness.threads(); ++w) {
-    served_by_someone += harness.engine(w).meter().touched_pages();
+    served_by_someone += harness.context(w).meter().touched_pages();
   }
   EXPECT_GT(served_by_someone, 0);
 }

@@ -236,17 +236,19 @@ TEST_F(AsyncStressTest, MultiProducerNoLossNoDuplicationBitExact) {
 
     // Every request resolves exactly once, bit-identical to the sequential
     // engine — the scheduler may have packed them into any micro-batches.
-    InferenceEngine reference(model, tflite_profile());
+    ExecutionContext reference(std::make_shared<const CompiledModel>(model),
+                               tflite_profile());
     std::uint64_t resolved = 0;
     for (auto& produced : per_producer) {
       for (Submitted& s : produced) {
         const AsyncResult result = s.future.get();
         ++resolved;
-        const Tensor expected = reference.run(s.history).logits;
+        const InferenceView expected = reference.run_view(s.history);
         ASSERT_EQ(static_cast<Index>(result.logits.size()),
-                  expected.numel());
-        for (Index c = 0; c < expected.numel(); ++c) {
-          EXPECT_EQ(result.logits[static_cast<std::size_t>(c)], expected[c]);
+                  expected.dim);
+        for (Index c = 0; c < expected.dim; ++c) {
+          EXPECT_EQ(result.logits[static_cast<std::size_t>(c)],
+                    expected.logits[c]);
         }
         EXPECT_GE(result.batch, 1);
         EXPECT_LE(result.batch, config.max_batch);
@@ -382,8 +384,10 @@ TEST_F(AsyncStressTest, HotSwapUnderConcurrentTrafficIsBitExactPerVersion) {
 
   const MmapModel v1_mapped(v1_path);
   const MmapModel v2_mapped(v2_path);
-  InferenceEngine v1_reference(v1_mapped, tflite_profile());
-  InferenceEngine v2_reference(v2_mapped, tflite_profile());
+  ExecutionContext v1_reference(
+      std::make_shared<const CompiledModel>(v1_mapped), tflite_profile());
+  ExecutionContext v2_reference(
+      std::make_shared<const CompiledModel>(v2_mapped), tflite_profile());
 
   ModelRegistry registry;
   registry.load("m", v1_path);
@@ -441,14 +445,15 @@ TEST_F(AsyncStressTest, HotSwapUnderConcurrentTrafficIsBitExactPerVersion) {
         const AsyncResult result = s.future.get();
         ++resolved;
         ASSERT_TRUE(result.model_version == 1 || result.model_version == 2);
-        InferenceEngine& reference =
+        ExecutionContext& reference =
             result.model_version == 1 ? v1_reference : v2_reference;
         (result.model_version == 1 ? served_by_v1 : served_by_v2) += 1;
-        const Tensor expected = reference.run(s.history).logits;
+        const InferenceView expected = reference.run_view(s.history);
         ASSERT_EQ(static_cast<Index>(result.logits.size()),
-                  expected.numel());
-        for (Index c = 0; c < expected.numel(); ++c) {
-          ASSERT_EQ(result.logits[static_cast<std::size_t>(c)], expected[c])
+                  expected.dim);
+        for (Index c = 0; c < expected.dim; ++c) {
+          ASSERT_EQ(result.logits[static_cast<std::size_t>(c)],
+                    expected.logits[c])
               << "version " << result.model_version << " logit " << c;
         }
       }
@@ -563,16 +568,18 @@ TEST_F(AsyncStressTest, MixedModelTrafficRoutesAndReportsPerModel) {
   ASSERT_EQ(logits.size(), requests.size());
   const MmapModel small_mapped(small_path);
   const MmapModel large_mapped(large_path);
-  InferenceEngine small_reference(small_mapped, tflite_profile());
-  InferenceEngine large_reference(large_mapped, tflite_profile());
+  ExecutionContext small_reference(
+      std::make_shared<const CompiledModel>(small_mapped), tflite_profile());
+  ExecutionContext large_reference(
+      std::make_shared<const CompiledModel>(large_mapped), tflite_profile());
   for (std::size_t r = 0; r < requests.size(); ++r) {
-    InferenceEngine& reference =
+    ExecutionContext& reference =
         requests[r].model_id == "small" ? small_reference : large_reference;
-    const Tensor expected = reference.run(requests[r].history).logits;
-    ASSERT_EQ(static_cast<Index>(logits[r].size()), expected.numel())
+    const InferenceView expected = reference.run_view(requests[r].history);
+    ASSERT_EQ(static_cast<Index>(logits[r].size()), expected.dim)
         << requests[r].model_id << " request " << r;
-    for (Index c = 0; c < expected.numel(); ++c) {
-      EXPECT_EQ(logits[r][static_cast<std::size_t>(c)], expected[c])
+    for (Index c = 0; c < expected.dim; ++c) {
+      EXPECT_EQ(logits[r][static_cast<std::size_t>(c)], expected.logits[c])
           << requests[r].model_id << " request " << r << " logit " << c;
     }
   }
@@ -609,7 +616,8 @@ TEST_F(AsyncStressTest, TrySubmitRejectsWhenQueueSaturated) {
   // Flood the tiny queue from one thread with no pacing: with a single
   // worker some try_submit must eventually bounce (and be counted), while
   // every ACCEPTED request still resolves correctly.
-  InferenceEngine reference(model, tflite_profile());
+  ExecutionContext reference(std::make_shared<const CompiledModel>(model),
+                             tflite_profile());
   std::mt19937 rng(8);
   struct Accepted {
     std::vector<std::int32_t> history;
@@ -631,9 +639,9 @@ TEST_F(AsyncStressTest, TrySubmitRejectsWhenQueueSaturated) {
   EXPECT_EQ(server.queue_high_water(), config.queue_capacity);
   for (Accepted& a : accepted) {
     const AsyncResult result = a.future.get();
-    const Tensor expected = reference.run(a.history).logits;
-    for (Index c = 0; c < expected.numel(); ++c) {
-      EXPECT_EQ(result.logits[static_cast<std::size_t>(c)], expected[c]);
+    const InferenceView expected = reference.run_view(a.history);
+    for (Index c = 0; c < expected.dim; ++c) {
+      EXPECT_EQ(result.logits[static_cast<std::size_t>(c)], expected.logits[c]);
     }
   }
 }

@@ -12,9 +12,11 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/rng.h"
 #include "core/tensor.h"
+#include "ondevice/execution_context.h"
 
 namespace memcom {
 namespace test {
@@ -52,6 +54,13 @@ inline ::testing::AssertionResult TensorNear(const Tensor& actual,
          << "tensors differ (tol=" << tol << "): worst at flat index " << worst
          << ", actual=" << actual[worst] << " expected=" << expected[worst]
          << " |diff|=" << max_diff;
+}
+
+// Copies a forward's logits out of the context scratch, which the next run
+// on the same context overwrites.
+inline Tensor copy_logits(const InferenceView& view) {
+  return Tensor::from_vector(
+      {view.dim}, std::vector<float>(view.logits, view.logits + view.dim));
 }
 
 inline void ExpectTensorNear(const Tensor& actual, const Tensor& expected,

@@ -429,8 +429,8 @@ int bench(int argc, char** argv) {
             std::make_shared<const CompiledModel>(cold, leg.policy);
         leg.build_ms.push_back(elapsed_ms(t_build));
         const SteadyClock::time_point t_infer = SteadyClock::now();
-        InferenceEngine engine(compiled, profile);
-        engine.run_view(first_request);
+        ExecutionContext context(compiled, profile);
+        context.run_view(first_request);
         leg.infer_ms.push_back(elapsed_ms(t_infer));
         leg.total_ms.push_back(elapsed_ms(t_total));
         leg.verdict = compiled->plan_adopted()
@@ -475,11 +475,12 @@ int bench(int argc, char** argv) {
   }
 
   // Single-input latency (the paper's Table 3 metric).
-  InferenceEngine engine(model, profile);
-  std::cout << "kernel dispatch: " << engine.compiled().kernel_name()
+  ExecutionContext context(std::make_shared<const CompiledModel>(model),
+                           profile);
+  std::cout << "kernel dispatch: " << context.compiled().kernel_name()
             << " (set MEMCOM_DISABLE_SIMD=1 to force the scalar "
                "reference)\n\n";
-  const LatencyStats stats = engine.benchmark(requests.front(), runs);
+  const LatencyStats stats = context.benchmark(requests.front(), runs);
   TextTable latency({"runs", "mean ms", "min ms", "p50 ms", "p95 ms",
                      "p99 ms", "max ms", "resident MB"});
   latency.add_row({std::to_string(stats.runs), format_float(stats.mean_ms, 4),
@@ -488,7 +489,7 @@ int bench(int argc, char** argv) {
                    format_float(stats.p95_ms, 4),
                    format_float(stats.p99_ms, 4),
                    format_float(stats.max_ms, 4),
-                   format_float(engine.resident_megabytes(), 2)});
+                   format_float(context.resident_megabytes(), 2)});
   std::cout << "single-input latency (" << runs << " runs):\n"
             << latency.to_string() << "\n";
 
