@@ -40,21 +40,25 @@ ServingHarness::ServingHarness(std::shared_ptr<const CompiledModel> compiled,
 }
 
 namespace {
+// Folds one cache's counters into a fleet total. Each worker owns a private
+// slab, so the fleet pays the sum (unlike the shared weight pages, where the
+// footprint is the max).
+void add_cache(RowCacheStats& total, const RowCacheStats& s) {
+  if (!s.enabled) {
+    return;
+  }
+  total.enabled = true;
+  total.hits += s.hits;
+  total.misses += s.misses;
+  total.resident_bytes += s.resident_bytes;
+  total.capacity_bytes += s.capacity_bytes;
+}
+
 RowCacheStats aggregate_cache_stats(
     const std::vector<std::unique_ptr<ExecutionContext>>& contexts) {
   RowCacheStats total;
   for (const auto& context : contexts) {
-    const RowCacheStats s = context->row_cache_stats();
-    if (!s.enabled) {
-      continue;
-    }
-    total.enabled = true;
-    total.hits += s.hits;
-    total.misses += s.misses;
-    // Each worker owns a private slab, so the fleet pays the sum (unlike
-    // the shared weight pages, where the footprint is the max).
-    total.resident_bytes += s.resident_bytes;
-    total.capacity_bytes += s.capacity_bytes;
+    add_cache(total, context->row_cache_stats());
   }
   return total;
 }
@@ -78,21 +82,34 @@ double per_second(std::uint64_t count, double ms) {
   return ms > 0.0 ? static_cast<double>(count) / (ms / 1000.0) : 0.0;
 }
 
-// How a drain's requests left the server. The closed-loop harness carries
-// no deadlines, so every request it serves counts as within SLO.
+// What a drain learns from its own results: how each request left the
+// server and, for the executed ones, the latency figures its AsyncResult
+// carries. The closed-loop harness carries no deadlines, so every request it
+// serves counts as within SLO; it keeps its own latency samples.
 struct DrainOutcomes {
   std::uint64_t shed = 0;
   std::uint64_t deadline_misses = 0;
   std::uint64_t within_slo = 0;  // executed before its deadline, or had none
+  bool sessions = false;         // every request was submit_next_item traffic
+  std::vector<double> latency_ms;
+  std::vector<double> queue_wait_ms;
+  std::vector<double> service_ms;
+  std::map<std::string, std::vector<double>> model_latency_ms;
 
   void add(const AsyncResult& result) {
     if (result.status == RequestStatus::kShed) {
       ++shed;
-    } else if (result.deadline_missed) {
+      return;
+    }
+    if (result.deadline_missed) {
       ++deadline_misses;
     } else {
       ++within_slo;
     }
+    latency_ms.push_back(result.total_ms);
+    queue_wait_ms.push_back(result.queue_wait_ms);
+    service_ms.push_back(result.service_ms);
+    model_latency_ms[result.model_id].push_back(result.total_ms);
   }
 };
 
@@ -127,6 +144,40 @@ void close_report(ServingReport& report, const DrainOutcomes& outcomes) {
   report.goodput_qps = per_second(outcomes.within_slo, report.wall_ms);
   report.mean_batch = ratio(executed, report.batches);
   report.modeled_qps = per_second(executed, report.modeled_busy_ms);
+}
+
+// The columns an AsyncServer drain builds from its own executed results
+// (see serving.h), once the per-batch counters are folded in. Each result's
+// batch recorded its model's lane before the result resolved, so per_model
+// already holds a row for every model a result names.
+void fold_results(ServingReport& report, DrainOutcomes outcomes) {
+  report.latency = latency_stats_from_samples(std::move(outcomes.latency_ms));
+  report.queue_wait =
+      latency_stats_from_samples(std::move(outcomes.queue_wait_ms));
+  report.service = latency_stats_from_samples(std::move(outcomes.service_ms));
+  if (outcomes.sessions) {
+    report.session_requests = static_cast<std::uint64_t>(report.latency.runs);
+    report.session_latency = report.latency;
+  }
+  for (ModelReport& model : report.per_model) {
+    std::vector<double>& samples = outcomes.model_latency_ms[model.model_id];
+    model.requests = samples.size();
+    model.latency = latency_stats_from_samples(std::move(samples));
+    model.mean_batch = ratio(model.requests, model.batches);
+    model.modeled_qps = per_second(model.requests, model.modeled_busy_ms);
+  }
+}
+
+// splitmix64 finisher for shard routing: std::hash on short strings can be
+// weak in the low bits, sequential session ids must not pile onto one
+// shard, and the low bits are all a modulo sees.
+std::uint64_t mix64(std::uint64_t h) {
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h;
 }
 }  // namespace
 
@@ -347,31 +398,16 @@ std::size_t AsyncServer::shard_for(const std::string& model_id) const {
   if (shards_.size() == 1) {
     return 0;
   }
-  // splitmix64 finisher over the string hash: std::hash on short strings
-  // can be weak in the low bits, and the low bits are all modulo sees.
-  std::uint64_t h = static_cast<std::uint64_t>(
-      std::hash<std::string>{}(model_id));
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return static_cast<std::size_t>(h % shards_.size());
+  return static_cast<std::size_t>(
+      mix64(static_cast<std::uint64_t>(std::hash<std::string>{}(model_id))) %
+      shards_.size());
 }
 
 std::size_t AsyncServer::shard_for_session(std::uint64_t session_id) const {
   if (shards_.size() == 1) {
     return 0;
   }
-  // Same splitmix64 finisher as shard_for: sequential session ids must not
-  // pile onto one shard.
-  std::uint64_t h = session_id;
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return static_cast<std::size_t>(h % shards_.size());
+  return static_cast<std::size_t>(mix64(session_id) % shards_.size());
 }
 
 Index AsyncServer::output_dim() const {
@@ -789,8 +825,9 @@ void AsyncServer::execute_batch(std::size_t worker, BatchTask& task,
       origin.wait_p99_est_us.store(wait_est, std::memory_order_relaxed);
     }
 
-    // Record stats BEFORE resolving the promises: anyone who has observed
-    // every future of a drain is guaranteed to see its samples.
+    // Record the batch BEFORE resolving the promises: anyone who has
+    // observed every future of a drain is guaranteed to see its batches.
+    // O(1) per batch — per-request figures travel in the AsyncResults.
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       WorkerStats& stats = worker_stats_[worker];
@@ -803,33 +840,16 @@ void AsyncServer::execute_batch(std::size_t worker, BatchTask& task,
       lane.version = task.version;
       ++lane.batches;
       lane.modeled_busy_ms += batch.total_ms;
-      lane.cache_hits += batch.cache_hits;
-      lane.cache_misses += batch.cache_misses;
+      // Hits/misses accumulate per batch (a swap rebuilds the context, so
+      // its lifetime counters restart); the slab figures are snapshots.
       const RowCacheStats cache = context.row_cache_stats();
-      lane.cache_enabled = cache.enabled;
-      lane.cache_resident_bytes = cache.resident_bytes;
-      lane.cache_capacity_bytes = cache.capacity_bytes;
+      lane.cache.enabled = cache.enabled;
+      lane.cache.hits += batch.cache_hits;
+      lane.cache.misses += batch.cache_misses;
+      lane.cache.resident_bytes = cache.resident_bytes;
+      lane.cache.capacity_bytes = cache.capacity_bytes;
       lane.resident_mb = context.resident_megabytes();
       lane.plan_bytes = task.compiled->plan_resident_bytes();
-      for (const QueuedRequest& r : task.requests) {
-        const double wait_ms =
-            std::chrono::duration<double, std::milli>(service_start -
-                                                      r.enqueue_tp)
-                .count();
-        const double total_ms =
-            std::chrono::duration<double, std::milli>(service_end -
-                                                      r.enqueue_tp)
-                .count();
-        stats.queue_wait_ms.push_back(wait_ms);
-        stats.service_ms.push_back(service_ms);
-        stats.total_ms.push_back(total_ms);
-        if (r.is_session) {
-          ++stats.session_requests;
-          stats.session_total_ms.push_back(total_ms);
-        }
-        lane.total_ms.push_back(total_ms);
-        ++lane.requests;
-      }
     }
 
     const Index dim = context.compiled().output_dim();
@@ -892,14 +912,16 @@ void AsyncServer::reset_stats() {
 ServingReport AsyncServer::serve(
     const std::vector<std::vector<std::int32_t>>& requests, int repeat,
     double arrival_qps, Tensor* logits_out) {
-  std::vector<RequestRef> refs;
-  refs.reserve(requests.size());
-  for (const auto& history : requests) {
-    refs.push_back(RequestRef{&default_model_, &history});
-  }
-  std::vector<std::vector<float>> rows;
-  ServingReport report =
-      drive(refs, repeat, arrival_qps, logits_out != nullptr ? &rows : nullptr);
+  std::vector<std::vector<float>> rows(logits_out != nullptr ? requests.size()
+                                                             : 0);
+  ServingReport report = drain(
+      requests.size(), repeat, arrival_qps, false,
+      [&](std::size_t r) { return submit(default_model_, requests[r]); },
+      [&](std::size_t r, AsyncResult& result) {
+        if (logits_out != nullptr) {
+          rows[r] = std::move(result.logits);
+        }
+      });
   if (logits_out != nullptr) {
     // Row width comes from the rows actually SERVED, not from the current
     // registry state: a concurrent swap()/retire() of the default model
@@ -930,29 +952,55 @@ ServingReport AsyncServer::serve(
 ServingReport AsyncServer::serve(const std::vector<RoutedRequest>& requests,
                                  int repeat, double arrival_qps,
                                  std::vector<std::vector<float>>* logits_out) {
-  std::vector<RequestRef> refs;
-  refs.reserve(requests.size());
-  for (const RoutedRequest& r : requests) {
-    refs.push_back(RequestRef{&r.model_id, &r.history});
+  if (logits_out != nullptr) {
+    logits_out->assign(requests.size(), {});
   }
-  return drive(refs, repeat, arrival_qps, logits_out);
+  return drain(
+      requests.size(), repeat, arrival_qps, false,
+      [&](std::size_t r) {
+        return submit(requests[r].model_id, requests[r].history);
+      },
+      [&](std::size_t r, AsyncResult& result) {
+        if (logits_out != nullptr) {
+          (*logits_out)[r] = std::move(result.logits);
+        }
+      });
 }
 
-ServingReport AsyncServer::drive(
-    const std::vector<RequestRef>& requests, int repeat, double arrival_qps,
-    std::vector<std::vector<float>>* logits_out) {
+ServingReport AsyncServer::serve_sessions(
+    const std::vector<SessionEvent>& events, Index k,
+    std::vector<std::vector<Index>>* topk_out) {
+  check(config_.session_capacity > 0,
+        "AsyncServer: serve_sessions needs session_capacity > 0");
+  if (topk_out != nullptr) {
+    topk_out->assign(events.size(), {});
+  }
+  return drain(
+      events.size(), 1, 0.0, true,
+      [&](std::size_t r) {
+        return submit_next_item(default_model_, events[r].session_id,
+                                events[r].item, k);
+      },
+      [&](std::size_t r, AsyncResult& result) {
+        if (topk_out != nullptr) {
+          (*topk_out)[r] = std::move(result.top_ids);
+        }
+      });
+}
+
+ServingReport AsyncServer::drain(
+    std::size_t unique, int repeat, double arrival_qps, bool sessions,
+    const std::function<std::future<AsyncResult>(std::size_t)>& submit_one,
+    const std::function<void(std::size_t, AsyncResult&)>& keep) {
   check(repeat > 0, "AsyncServer: repeat must be positive");
-  const std::size_t unique = requests.size();
   const std::uint64_t total =
       static_cast<std::uint64_t>(unique) * static_cast<std::uint64_t>(repeat);
-  if (logits_out != nullptr) {
-    logits_out->assign(unique, {});
-  }
-
   // Cold-start slice: the default model's CURRENT plan.
   ServingReport report = open_report(threads(), shards(), total,
                                      registry_->acquire(default_model_).get());
   if (total == 0) {
+    report.active_sessions = active_sessions();
+    report.session_evictions = evicted_sessions();
     return report;
   }
   reset_stats();
@@ -977,7 +1025,6 @@ ServingReport AsyncServer::drive(
   constexpr std::chrono::microseconds kSpinWindow{200};
 
   const std::uint64_t steals_before = steals_.load(std::memory_order_relaxed);
-  std::uint64_t late = 0;
   std::vector<std::future<AsyncResult>> futures;
   futures.reserve(static_cast<std::size_t>(total));
   const auto wall_start = Clock::now();
@@ -994,92 +1041,39 @@ ServingReport AsyncServer::drive(
           // spin the last stretch
         }
       } else if (now - scheduled > inter_arrival) {
-        ++late;  // a full period behind schedule: true offered load sagged
+        ++report.late_arrivals;  // a full period behind: offered load sagged
       }
     }
-    const RequestRef& r = requests[static_cast<std::size_t>(i % unique)];
-    futures.push_back(submit(*r.model_id, *r.history));
+    futures.push_back(submit_one(static_cast<std::size_t>(i % unique)));
   }
 
   DrainOutcomes outcomes;
+  outcomes.sessions = sessions;
+  outcomes.latency_ms.reserve(futures.size());
+  outcomes.queue_wait_ms.reserve(futures.size());
+  outcomes.service_ms.reserve(futures.size());
   for (std::uint64_t i = 0; i < total; ++i) {
     AsyncResult result = futures[static_cast<std::size_t>(i)].get();
     outcomes.add(result);
-    if (logits_out != nullptr && i < unique &&
-        result.status == RequestStatus::kOk) {
-      (*logits_out)[static_cast<std::size_t>(i)] = std::move(result.logits);
+    if (i < unique && result.status == RequestStatus::kOk) {
+      keep(static_cast<std::size_t>(i), result);
     }
   }
   report.wall_ms = elapsed_ms(wall_start);
   report.steals = steals_.load(std::memory_order_relaxed) - steals_before;
-  report.late_arrivals = late;
+  report.active_sessions = active_sessions();
+  report.session_evictions = evicted_sessions();
   collect_stats(report);
   close_report(report, outcomes);
-  return report;
-}
-
-ServingReport AsyncServer::serve_sessions(
-    const std::vector<SessionEvent>& events, Index k,
-    std::vector<std::vector<Index>>* topk_out) {
-  check(config_.session_capacity > 0,
-        "AsyncServer: serve_sessions needs session_capacity > 0");
-  const std::uint64_t total = events.size();
-  if (topk_out != nullptr) {
-    topk_out->assign(events.size(), {});
-  }
-  ServingReport report = open_report(threads(), shards(), total,
-                                     registry_->acquire(default_model_).get());
-  if (total == 0) {
-    report.active_sessions = active_sessions();
-    report.session_evictions = evicted_sessions();
-    return report;
-  }
-  reset_stats();
-
-  const std::uint64_t steals_before = steals_.load(std::memory_order_relaxed);
-  std::vector<std::future<AsyncResult>> futures;
-  futures.reserve(events.size());
-  const auto wall_start = Clock::now();
-  for (const SessionEvent& e : events) {
-    futures.push_back(
-        submit_next_item(default_model_, e.session_id, e.item, k));
-  }
-  DrainOutcomes outcomes;
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    AsyncResult result = futures[i].get();
-    outcomes.add(result);
-    if (topk_out != nullptr && result.status == RequestStatus::kOk) {
-      (*topk_out)[i] = std::move(result.top_ids);
-    }
-  }
-  report.wall_ms = elapsed_ms(wall_start);
-  report.steals = steals_.load(std::memory_order_relaxed) - steals_before;
-  collect_stats(report);
-  close_report(report, outcomes);
+  fold_results(report, std::move(outcomes));
   return report;
 }
 
 void AsyncServer::collect_stats(ServingReport& report) {
-  const auto total = static_cast<std::size_t>(report.requests);
-  std::vector<double> waits, services, totals, session_totals;
-  waits.reserve(total);
-  services.reserve(total);
-  totals.reserve(total);
   std::map<std::string, ModelReport> models;
-  std::map<std::string, std::vector<double>> model_totals;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     for (const WorkerStats& stats : worker_stats_) {
-      waits.insert(waits.end(), stats.queue_wait_ms.begin(),
-                   stats.queue_wait_ms.end());
-      services.insert(services.end(), stats.service_ms.begin(),
-                      stats.service_ms.end());
-      totals.insert(totals.end(), stats.total_ms.begin(),
-                    stats.total_ms.end());
-      report.session_requests += stats.session_requests;
-      session_totals.insert(session_totals.end(),
-                            stats.session_total_ms.begin(),
-                            stats.session_total_ms.end());
       report.catalog_rows += stats.catalog_rows;
       report.scanned_rows += stats.scanned_rows;
       report.scanned_bytes += stats.scanned_bytes;
@@ -1090,7 +1084,6 @@ void AsyncServer::collect_stats(ServingReport& report) {
         ModelReport& model = models[model_id];
         model.model_id = model_id;
         model.version = std::max(model.version, lane.version);
-        model.requests += lane.requests;
         model.batches += lane.batches;
         model.modeled_busy_ms =
             std::max(model.modeled_busy_ms, lane.modeled_busy_ms);
@@ -1100,40 +1093,16 @@ void AsyncServer::collect_stats(ServingReport& report) {
             model.resident_mb,
             lane.resident_mb + static_cast<double>(lane.plan_bytes) /
                                    (1024.0 * 1024.0));
-        if (lane.cache_enabled) {
-          model.cache.enabled = true;
-          model.cache.hits += lane.cache_hits;
-          model.cache.misses += lane.cache_misses;
-          model.cache.resident_bytes += lane.cache_resident_bytes;
-          model.cache.capacity_bytes += lane.cache_capacity_bytes;
-        }
-        auto& samples = model_totals[model_id];
-        samples.insert(samples.end(), lane.total_ms.begin(),
-                       lane.total_ms.end());
+        add_cache(model.cache, lane.cache);
       }
     }
   }
-  report.latency = latency_stats_from_samples(std::move(totals));
-  report.queue_wait = latency_stats_from_samples(std::move(waits));
-  report.service = latency_stats_from_samples(std::move(services));
-  report.session_latency =
-      latency_stats_from_samples(std::move(session_totals));
-  report.active_sessions = active_sessions();
-  report.session_evictions = evicted_sessions();
   report.pruned_fraction =
       report.catalog_rows > 0
           ? 1.0 - ratio(report.scanned_rows, report.catalog_rows)
           : 0.0;
   for (auto& [model_id, model] : models) {
-    model.latency =
-        latency_stats_from_samples(std::move(model_totals[model_id]));
-    model.mean_batch = ratio(model.requests, model.batches);
-    model.modeled_qps = per_second(model.requests, model.modeled_busy_ms);
-    report.cache.enabled = report.cache.enabled || model.cache.enabled;
-    report.cache.hits += model.cache.hits;
-    report.cache.misses += model.cache.misses;
-    report.cache.resident_bytes += model.cache.resident_bytes;
-    report.cache.capacity_bytes += model.cache.capacity_bytes;
+    add_cache(report.cache, model.cache);
     report.per_model.push_back(std::move(model));
   }
 }
@@ -1195,14 +1164,7 @@ RowCacheStats AsyncServer::cache_stats() const {
   RowCacheStats total;
   for (const WorkerStats& stats : worker_stats_) {
     for (const auto& [model_id, lane] : stats.models) {
-      if (!lane.cache_enabled) {
-        continue;
-      }
-      total.enabled = true;
-      total.hits += lane.cache_hits;
-      total.misses += lane.cache_misses;
-      total.resident_bytes += lane.cache_resident_bytes;
-      total.capacity_bytes += lane.cache_capacity_bytes;
+      add_cache(total, lane.cache);
     }
   }
   return total;

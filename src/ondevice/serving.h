@@ -54,6 +54,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -71,6 +72,20 @@
 #include "ondevice/session.h"
 
 namespace memcom {
+
+// Where an AsyncServer drain report's columns come from:
+//   * From the drain's own results (the AsyncResults serve() /
+//     serve_sessions() collect), so they count exactly the drain's
+//     requests: latency, queue_wait, service, the shed and deadline
+//     columns, session_requests, session_latency, and each ModelReport's
+//     requests and latency.
+//   * From the per-batch worker counters recorded since the drain began:
+//     batches, steals, modeled_busy_ms, the catalog-scan columns, cache,
+//     and each ModelReport's version, batches, modeled_busy_ms,
+//     resident_mb and cache. A micro-batch can mix the drain's requests
+//     with requests submitted outside it (same model), so these can
+//     include that outside work.
+// mean_batch and modeled_qps divide the first kind by the second.
 
 // Per-model slice of a drain (async pipeline only).
 struct ModelReport {
@@ -419,10 +434,14 @@ class AsyncServer {
   Index active_sessions() const;
   std::uint64_t evicted_sessions() const;
 
-  // Aggregated hot-row cache counters across worker contexts since the
-  // last serve() began (all counters flow through the stats mutex, so this
-  // is safe to call whenever the caller holds no in-flight futures).
+  // Hot-row cache counters summed across worker contexts, from the
+  // per-batch worker counters: since the last serve()/serve_sessions()
+  // began, or lifetime totals when no drain has run (submit()-only
+  // traffic). Takes the stats mutex, so it is safe to call at any time; a
+  // batch is counted before any of its futures resolves.
   RowCacheStats cache_stats() const;
+  // Peak per-worker context footprint (all models a worker serves) plus
+  // each served model's shared plan, over the same window as cache_stats().
   double max_resident_megabytes() const;
 
  private:
@@ -475,33 +494,23 @@ class AsyncServer {
     std::unique_ptr<SessionStore> sessions;
     std::thread former;
   };
-  // Per-(worker, model) slice of the per-batch accounting below.
+  // Per-(worker, model) slice of the per-batch counters below.
   struct ModelLane {
     std::uint64_t version = 0;
-    std::uint64_t requests = 0;
     std::uint64_t batches = 0;
-    std::vector<double> total_ms;
     double modeled_busy_ms = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-    bool cache_enabled = false;
-    std::size_t cache_resident_bytes = 0;  // post-batch snapshot
-    std::size_t cache_capacity_bytes = 0;  // post-batch snapshot
+    // Hits/misses summed over batches; enabled and the slab bytes are the
+    // post-batch snapshot.
+    RowCacheStats cache;
     double resident_mb = 0;                // post-batch snapshot
     std::size_t plan_bytes = 0;            // served plan (shared, not per worker)
   };
-  // Per-batch accounting a worker appends under stats_mutex_; serve()
-  // snapshots these after every future it waits on has resolved.
+  // Per-batch counters a worker adds under stats_mutex_: O(1) per batch.
+  // Per-request figures are not kept here — a drain builds them from the
+  // AsyncResults it already holds.
   struct WorkerStats {
-    std::vector<double> queue_wait_ms;
-    std::vector<double> service_ms;
-    std::vector<double> total_ms;
     double modeled_busy_ms = 0;
     std::uint64_t batches = 0;
-    // Session slice: submit_next_item requests this worker completed and
-    // their end-to-end latencies (feeds ServingReport::session_latency).
-    std::uint64_t session_requests = 0;
-    std::vector<double> session_total_ms;
     // Catalog-scan slice (ranked rows only; see ServingReport).
     std::uint64_t catalog_rows = 0;
     std::uint64_t scanned_rows = 0;
@@ -539,20 +548,20 @@ class AsyncServer {
   };
   void execute_batch(std::size_t worker, BatchTask& task, WorkerState& state);
   void reset_stats();
-  // Non-owning view of one request of a serve() corpus: both serve()
-  // overloads flatten to these so the un-routed one does not have to copy
-  // every history into a temporary RoutedRequest just to attach the
-  // default model id (submit() copies per repetition anyway).
-  struct RequestRef {
-    const std::string* model_id = nullptr;
-    const std::vector<std::int32_t>* history = nullptr;
-  };
-  ServingReport drive(const std::vector<RequestRef>& requests, int repeat,
-                      double arrival_qps,
-                      std::vector<std::vector<float>>* logits_out);
-  // Shared report-assembly step of drive()/serve_sessions(): folds the
-  // worker stats accumulated since the last reset_stats() into `report`
-  // (latency/batch/per-model/cache columns plus the session slice).
+  // The one submit/collect loop of serve() and serve_sessions(): submits
+  // `repeat` passes over a corpus of `unique` requests through
+  // submit_one(r) on an absolute open-loop schedule (arrival_qps 0 = as
+  // fast as admitted), get()s every future in order, builds the report's
+  // per-request columns from the results, and hands each executed result
+  // of the first pass to keep(r, result). `sessions` marks a drain of
+  // submit_next_item traffic (it fills the session slice).
+  ServingReport drain(
+      std::size_t unique, int repeat, double arrival_qps, bool sessions,
+      const std::function<std::future<AsyncResult>(std::size_t)>& submit_one,
+      const std::function<void(std::size_t, AsyncResult&)>& keep);
+  // Folds the per-batch worker counters recorded since the last
+  // reset_stats() into `report`: batches, modeled busy time, catalog-scan
+  // bytes, cache, and the per-model version/batches/resident/cache columns.
   void collect_stats(ServingReport& report);
 
   AsyncServerConfig config_;

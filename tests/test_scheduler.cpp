@@ -314,6 +314,41 @@ TEST_F(SchedulerTest, BatchAndModeledRatesCountExecutedRequestsOnly) {
                        static_cast<double>(model_batches));
 }
 
+TEST_F(SchedulerTest, DrainReportCountsOnlyItsOwnRequests) {
+  // Requests submitted before a drain began can share its micro-batches;
+  // the drain's latency columns must still count exactly its own requests.
+  const std::string path = export_model(TechniqueKind::kMemcom, "own");
+  const MmapModel model(path);
+
+  AsyncServerConfig config;
+  config.threads = 1;
+  config.max_batch = 4;
+  config.max_delay_us = 5e6;  // batches flush only when full
+  AsyncServer server(model, tflite_profile(), config);
+
+  std::mt19937 rng(27);
+  std::vector<std::future<AsyncResult>> early;
+  for (int i = 0; i < 2; ++i) {
+    early.push_back(server.submit(random_history(rng)));
+  }
+  std::vector<std::vector<std::int32_t>> corpus;
+  for (int i = 0; i < 6; ++i) {
+    corpus.push_back(random_history(rng));
+  }
+  // 2 early + 6 drained = 2 full batches.
+  const ServingReport report = server.serve(corpus, 1);
+  EXPECT_EQ(report.requests, 6u);
+  EXPECT_EQ(report.latency.runs, 6);
+  EXPECT_EQ(report.queue_wait.runs, 6);
+  EXPECT_EQ(report.service.runs, 6);
+  ASSERT_EQ(report.per_model.size(), 1u);
+  EXPECT_EQ(report.per_model[0].requests, 6u);
+  EXPECT_EQ(report.per_model[0].latency.runs, 6);
+  for (auto& f : early) {
+    EXPECT_EQ(f.get().status, RequestStatus::kOk);
+  }
+}
+
 // --- Sharded scheduler / work stealing ------------------------------------
 
 TEST_F(SchedulerTest, ShardedSkewedLoadStealsDrainsAndMatchesSingleQueue) {

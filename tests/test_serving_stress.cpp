@@ -360,6 +360,58 @@ TEST_F(AsyncStressTest, ReportIsInternallyConsistent) {
   EXPECT_GE(second.cache.hits, report.cache.hits);
 }
 
+TEST_F(AsyncStressTest, CacheAccessorsCountSubmitOnlyTraffic) {
+  // Traffic sent through submit() alone never starts a drain, so
+  // cache_stats() and max_resident_megabytes() carry lifetime totals of the
+  // per-batch worker counters — what a load generator reads between runs.
+  const std::string path = export_model(TechniqueKind::kMemcom, "accessors");
+  const MmapModel model(path);
+  constexpr std::size_t kBudget = 32 * 1024;
+
+  std::mt19937 rng(12);
+  std::vector<std::vector<std::int32_t>> requests;
+  for (int i = 0; i < 48; ++i) {
+    requests.push_back(random_history(rng));
+  }
+  // Hits plus misses count every gathered row, whatever the cache held:
+  // one cached context over the same histories gives the expected count.
+  ExecutionContext reference(std::make_shared<const CompiledModel>(model),
+                             tflite_profile());
+  reference.enable_row_cache(kBudget);
+  std::uint64_t gathered = 0;
+  for (const auto& history : requests) {
+    const InferenceView view = reference.run_view(history);
+    gathered += view.cache_hits + view.cache_misses;
+  }
+  ASSERT_GT(gathered, 0u);
+
+  AsyncServerConfig config;
+  config.threads = 2;
+  config.max_batch = 8;
+  config.max_delay_us = 200.0;
+  config.queue_capacity = 16;
+  config.cache_budget_bytes = kBudget;
+  AsyncServer server(model, tflite_profile(), config);
+  EXPECT_FALSE(server.cache_stats().enabled);  // no batch has run yet
+  EXPECT_EQ(server.max_resident_megabytes(), 0.0);
+
+  std::vector<std::future<AsyncResult>> futures;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& history : requests) {
+      futures.push_back(server.submit(history));
+    }
+  }
+  for (auto& f : futures) {
+    ASSERT_EQ(f.get().status, RequestStatus::kOk);
+  }
+  const RowCacheStats cache = server.cache_stats();
+  EXPECT_TRUE(cache.enabled);
+  EXPECT_EQ(cache.hits + cache.misses, 2 * gathered);
+  EXPECT_GT(cache.resident_bytes, 0u);
+  EXPECT_LE(cache.resident_bytes, cache.capacity_bytes);
+  EXPECT_GT(server.max_resident_megabytes(), 0.0);
+}
+
 TEST_F(AsyncStressTest, HotSwapUnderConcurrentTrafficIsBitExactPerVersion) {
   // Producers stream requests while the registry publishes v2 mid-traffic.
   // Contract: every future resolves; each result is bit-identical to a
